@@ -55,6 +55,7 @@ func TestCompressSpecFileMatchesBench(t *testing.T) {
 		t.Errorf("scalar drift: file seed/reps/steps %d/%d/%d, bench %d/%d/%d",
 			parsed.Seed, parsed.Reps, parsed.Steps, compressSpec().Seed, compressSpec().Reps, compressSpec().Steps)
 	}
+	checkRecordedReport(t, "BENCH_compress.json", parsed)
 }
 
 // crossoverTable runs the sweep and folds it into

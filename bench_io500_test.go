@@ -1,6 +1,7 @@
 package pioeval_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -21,7 +22,13 @@ func surveyGrid() surveystats.Grid {
 		Devices: []string{"hdd", "ssd", "nvme"},
 		Tiers:   []string{"direct", "bb", "nodelocal"},
 		Ranks:   []int{2, 4, 8},
-		Seed:    1,
+		// The suite sizing cmd/io500 passes at its flag defaults.
+		Base: io500.Config{
+			Ranks: 4, Device: "hdd", Tier: "direct", StripeCount: 4, StripeSize: 1 << 20, Seed: 1,
+			EasyBlock: 16 << 20, EasyXfer: 1 << 20, HardXfer: 47008, HardOps: 64,
+			EasyFiles: 64, HardFiles: 32, HardFileBytes: 3901,
+		},
+		Seed: 1,
 	}
 }
 
@@ -56,6 +63,22 @@ func TestSurveyRecordMatchesGrid(t *testing.T) {
 	}
 	if rec.Analysis == nil || rec.Analysis.N != len(want) {
 		t.Fatal("recorded analysis missing or wrong size")
+	}
+	// The record must also reproduce byte for byte from the grid.
+	corpus, err := surveystats.BuildCorpus(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := surveystats.Analyze(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := (&surveystats.Report{Corpus: corpus, Analysis: a}).WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), src) {
+		t.Error("re-running surveyGrid does not reproduce BENCH_io500.json byte for byte")
 	}
 }
 

@@ -56,6 +56,30 @@ func TestTierSpecFileMatchesBench(t *testing.T) {
 		t.Errorf("scalar drift: file seed/reps/steps %d/%d/%d, bench %d/%d/%d",
 			parsed.Seed, parsed.Reps, parsed.Steps, tierSpec().Seed, tierSpec().Reps, tierSpec().Steps)
 	}
+	checkRecordedReport(t, "BENCH_tier.json", parsed)
+}
+
+// checkRecordedReport re-runs spec in-process and requires its JSON
+// report to equal the committed record byte for byte, so a refactor that
+// shifts any recorded number fails here rather than silently staling the
+// record.
+func checkRecordedReport(t *testing.T, record string, spec campaign.Spec) {
+	t.Helper()
+	want, err := os.ReadFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := campaign.Run(spec, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("re-running the spec does not reproduce %s byte for byte", record)
+	}
 }
 
 // TestTierCampaignDeterminismAcrossWorkers extends the campaign runner's

@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"pioeval/internal/campaign"
 	"pioeval/internal/cli"
 	"pioeval/internal/io500"
 	"pioeval/internal/surveystats"
@@ -149,7 +150,7 @@ func runSurvey(base io500.Config, devices, tiers, rankCounts, compressors string
 	// A pure-default compressor list stays off the grid entirely, so the
 	// point expansion (and every derived seed) matches pre-axis surveys.
 	comps := splitList(compressors)
-	if len(comps) == 1 && (comps[0] == "none" || comps[0] == "") {
+	if len(comps) == 1 && (campaign.Stack{Compress: comps[0]}).Canonical() == (campaign.Stack{}) {
 		comps = nil
 	}
 	base.Compress = ""

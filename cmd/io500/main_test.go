@@ -6,6 +6,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"pioeval/internal/campaign"
+	"pioeval/internal/reduce"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
@@ -145,6 +148,21 @@ func TestBadFlagsError(t *testing.T) {
 		var out, errb bytes.Buffer
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestStackAgreesWithParseStack: -tier/-compress accept and reject
+// exactly what campaign.ParseStack does, with the same error text.
+func TestStackAgreesWithParseStack(t *testing.T) {
+	for _, tier := range []string{"", "direct", "bb", "nodelocal", "warp"} {
+		for _, comp := range append([]string{"", "none", "brotli"}, reduce.Names()...) {
+			_, want := campaign.ParseStack(tier, comp)
+			var out, errb bytes.Buffer
+			got := run(append([]string{"-workers", "1", "-tier", tier, "-compress", comp}, tinyArgs...), &out, &errb)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Errorf("tier %q compress %q: run error %v, ParseStack error %v", tier, comp, got, want)
+			}
 		}
 	}
 }

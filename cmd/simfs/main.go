@@ -12,23 +12,26 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
+	"pioeval/internal/campaign"
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
 	"pioeval/internal/iolang"
 	"pioeval/internal/monitor"
 	"pioeval/internal/pfs"
-	"pioeval/internal/reduce"
 	"pioeval/internal/storage"
 	"pioeval/internal/trace"
 	"pioeval/internal/validate"
@@ -54,7 +57,18 @@ const defaultScenario = `workload "validate-default" {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simfs: ")
-	fs := flag.NewFlagSet("simfs", flag.ExitOnError)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind a testable seam: flags come from args,
+// all output goes to the supplied writers, and failures — including
+// oracle failures and armed-invariant violations — return as errors
+// instead of exiting. The golden tests drive it directly.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("simfs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
 	sample := fs.Bool("sample", false, "print sampled bandwidth series")
@@ -74,45 +88,63 @@ func main() {
 	bytesPerRank := fs.Int64("bytes-per-rank", 1<<20, "checkpoint bytes per rank per step for the scale run")
 	xfer := fs.Int64("xfer", 1<<20, "write chunk size for the scale run")
 	ranksPerNode := fs.Int("ranks-per-node", 64, "ranks sharing one compute node (and its NIC) in the scale run")
-	_ = fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *doOracles {
 		failed := false
 		for _, r := range validate.RunOracles(cluster.Seed) {
-			fmt.Println(r)
+			fmt.Fprintln(stdout, r)
 			if !r.Pass() {
 				failed = true
-				fmt.Printf("     %s\n", r.Detail)
+				fmt.Fprintf(stdout, "     %s\n", r.Detail)
 			}
 		}
 		if failed {
-			os.Exit(1)
+			return fmt.Errorf("oracle suite failed")
 		}
-		return
+		return nil
 	}
-	if *scaleRanks == 0 && fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
-		log.Fatal("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)")
+	if *scaleRanks > 0 {
+		// The scale run is the built-in checkpoint on the direct tier,
+		// uncompressed, fault-free and unsampled: reject what it ignores.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tier", "compress", "faults", "resilient", "sample":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if fs.NArg() > 0 {
+			ignored = append(ignored, "a script argument")
+		}
+		if len(ignored) > 0 {
+			return fmt.Errorf("-ranks runs the built-in scale checkpoint, which ignores %s", strings.Join(ignored, ", "))
+		}
+	} else if fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
+		return fmt.Errorf("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)")
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatal(err)
+			f, ferr := os.Create(*memprofile)
+			if ferr == nil {
+				runtime.GC()
+				ferr = errors.Join(pprof.WriteHeapProfile(f), f.Close())
 			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
+			if err == nil {
+				err = ferr
 			}
 		}()
 	}
@@ -124,31 +156,24 @@ func main() {
 			workersSweep: *workersSweep,
 		}
 		if sc.workersSweep > 0 {
-			if !runWorkersSweep(cluster, sc) {
-				os.Exit(1)
-			}
-			return
+			return runWorkersSweep(stdout, cluster, sc)
 		}
-		if !runScale(cluster, sc) {
-			os.Exit(1)
-		}
-		return
+		return runScale(stdout, cluster, sc)
 	}
 	src := []byte(defaultScenario)
 	if fs.NArg() == 1 {
-		var err error
 		src, err = os.ReadFile(fs.Arg(0))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	wl, err := iolang.Parse(string(src))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *resilient || *faultSpec != "" {
 		cfg.Resilience = pfs.DefaultResilience()
@@ -167,124 +192,112 @@ func main() {
 	if *sample {
 		sampler = monitor.NewSampler(e, sim, 10*des.Millisecond, des.Hour)
 	}
-	var campaign *faults.Scheduler
+	var fc *faults.Scheduler
 	if *faultSpec != "" {
 		c, err := faults.ParseCampaign(*faultSpec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if campaign, err = faults.Run(e, sim, c); err != nil {
-			log.Fatal(err)
+		if fc, err = faults.Run(e, sim, c); err != nil {
+			return err
 		}
 	}
-	var prov *storage.Provider
-	var comp *reduce.Stage
-	wantCompress := *compress != "none" && *compress != ""
-	if *tier != "direct" && *tier != "" || wantCompress {
-		prov, err = storage.NewProvider(e, sim, *tier, storage.ProviderConfig{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if wantCompress {
-			comp, err = reduce.New(*compress)
-			if err != nil {
-				log.Fatal(err)
-			}
-			prov.Push(comp)
-		}
-		if inv != nil {
-			inv.ObserveTier(prov)
-		}
+	prov, err := campaign.Stack{Tier: *tier, Compress: *compress}.Build(e, sim)
+	if err != nil {
+		return err
+	}
+	if inv != nil {
+		inv.ObserveTier(prov)
 	}
 	rep, err := iolang.RunOn(e, sim, wl, col, prov)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if sampler != nil {
 		sampler.Stop()
 	}
 
-	fmt.Printf("workload %q: %d ranks, makespan %v, read %s, wrote %s\n",
+	fmt.Fprintf(stdout, "workload %q: %d ranks, makespan %v, read %s, wrote %s\n",
 		rep.Name, rep.Ranks, rep.Makespan,
 		cli.FormatSize(rep.BytesRead), cli.FormatSize(rep.BytesWritten))
 
-	fmt.Println("\nOST counters:")
-	fmt.Printf("  %-6s %-8s %12s %12s %8s\n", "ost", "oss", "read", "written", "util")
+	fmt.Fprintln(stdout, "\nOST counters:")
+	fmt.Fprintf(stdout, "  %-6s %-8s %12s %12s %8s\n", "ost", "oss", "read", "written", "util")
 	for _, st := range sim.OSTStats() {
-		fmt.Printf("  ost%-3d %-8s %12s %12s %7.1f%%\n",
+		fmt.Fprintf(stdout, "  ost%-3d %-8s %12s %12s %7.1f%%\n",
 			st.ID, st.OSSNode, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Utilization*100)
 	}
 
 	md := sim.MDSStats()
-	fmt.Printf("\nMDS: %d ops total\n", md.TotalOps)
+	fmt.Fprintf(stdout, "\nMDS: %d ops total\n", md.TotalOps)
 	ops := make([]string, 0, len(md.Ops))
 	for op := range md.Ops {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
 	for _, op := range ops {
-		fmt.Printf("  %-10s %8d\n", op, md.Ops[op])
+		fmt.Fprintf(stdout, "  %-10s %8d\n", op, md.Ops[op])
 	}
 
-	if prov != nil {
-		switch prov.Tier() {
-		case storage.TierBB:
-			fmt.Println("\nburst buffers:")
-			for _, bb := range prov.Buffers() {
-				st := bb.Stats()
-				fmt.Printf("  %-8s absorbed %s, drained %s, peak %s, %d stalls, reads %s staged / %s through\n",
-					bb.Node(), cli.FormatSize(st.Absorbed), cli.FormatSize(st.Drained),
-					cli.FormatSize(st.PeakUsed), st.Stalls,
-					cli.FormatSize(st.BufReads), cli.FormatSize(st.MissReads))
-				if st.DrainErrors > 0 {
-					fmt.Printf("  %-8s DRAIN ERRORS: %d segments (%s) lost; last: %v\n",
-						bb.Node(), st.DrainErrors, cli.FormatSize(st.LostBytes), st.LastDrainError)
-				}
-				if st.ReadErrors > 0 {
-					fmt.Printf("  %-8s READ ERRORS: %d read-through failures; last: %v\n",
-						bb.Node(), st.ReadErrors, st.LastReadError)
-				}
+	switch prov.Tier() {
+	case storage.TierBB:
+		fmt.Fprintln(stdout, "\nburst buffers:")
+		for _, bb := range prov.Buffers() {
+			st := bb.Stats()
+			fmt.Fprintf(stdout, "  %-8s absorbed %s, drained %s, peak %s, %d stalls, reads %s staged / %s through\n",
+				bb.Node(), cli.FormatSize(st.Absorbed), cli.FormatSize(st.Drained),
+				cli.FormatSize(st.PeakUsed), st.Stalls,
+				cli.FormatSize(st.BufReads), cli.FormatSize(st.MissReads))
+			if st.DrainErrors > 0 {
+				fmt.Fprintf(stdout, "  %-8s DRAIN ERRORS: %d segments (%s) lost; last: %v\n",
+					bb.Node(), st.DrainErrors, cli.FormatSize(st.LostBytes), st.LastDrainError)
 			}
-		case storage.TierNodeLocal:
-			fmt.Println("\nnode-local scratch:")
-			for _, nl := range prov.Locals() {
-				st := nl.Stats()
-				fmt.Printf("  %-10s read %s, wrote %s, %d files\n",
-					st.Name, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Files)
+			if st.ReadErrors > 0 {
+				fmt.Fprintf(stdout, "  %-8s READ ERRORS: %d read-through failures; last: %v\n",
+					bb.Node(), st.ReadErrors, st.LastReadError)
 			}
+		}
+	case storage.TierNodeLocal:
+		fmt.Fprintln(stdout, "\nnode-local scratch:")
+		for _, nl := range prov.Locals() {
+			st := nl.Stats()
+			fmt.Fprintf(stdout, "  %-10s read %s, wrote %s, %d files\n",
+				st.Name, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Files)
 		}
 	}
 
-	if comp != nil {
-		st := comp.StageStats()
-		fmt.Printf("\ncompression (%s):\n", comp.Name())
-		fmt.Printf("  wrote logical %s -> physical %s (ratio %.2f), cpu %.4fs\n",
-			cli.FormatSize(st.LogicalWritten), cli.FormatSize(st.PhysicalWritten), st.Ratio(), st.CompressSeconds)
-		fmt.Printf("  read  logical %s <- physical %s, cpu %.4fs\n",
-			cli.FormatSize(st.LogicalRead), cli.FormatSize(st.PhysicalRead), st.DecompressSeconds)
+	for _, stage := range prov.Stages() {
+		if acct, ok := stage.(storage.StageAccounting); ok {
+			st := acct.StageStats()
+			fmt.Fprintf(stdout, "\ncompression (%s):\n", stage.Name())
+			fmt.Fprintf(stdout, "  wrote logical %s -> physical %s (ratio %.2f), cpu %.4fs\n",
+				cli.FormatSize(st.LogicalWritten), cli.FormatSize(st.PhysicalWritten), st.Ratio(), st.CompressSeconds)
+			fmt.Fprintf(stdout, "  read  logical %s <- physical %s, cpu %.4fs\n",
+				cli.FormatSize(st.LogicalRead), cli.FormatSize(st.PhysicalRead), st.DecompressSeconds)
+		}
 	}
 
-	if campaign != nil {
-		fmt.Println("\nfault campaign:")
-		for _, a := range campaign.Log() {
+	if fc != nil {
+		fmt.Fprintln(stdout, "\nfault campaign:")
+		for _, a := range fc.Log() {
 			if a.Err != nil {
-				fmt.Printf("  %v (inject error: %v)\n", a.Event, a.Err)
+				fmt.Fprintf(stdout, "  %v (inject error: %v)\n", a.Event, a.Err)
 			} else {
-				fmt.Printf("  %v\n", a.Event)
+				fmt.Fprintf(stdout, "  %v\n", a.Event)
 			}
 		}
 		cs := sim.ClientStatsTotal()
-		fmt.Printf("resilience: %d retries, %d timed-out RPCs, %d failed RPCs, %d degraded reads (%s missing)\n",
+		fmt.Fprintf(stdout, "resilience: %d retries, %d timed-out RPCs, %d failed RPCs, %d degraded reads (%s missing)\n",
 			cs.Retries, cs.TimedOutRPCs, cs.FailedRPCs, cs.DegradedReads, cli.FormatSize(cs.BytesMissing))
 	}
 
 	if sampler != nil {
-		fmt.Println("\nsampled aggregate bandwidth (MB/s):")
+		fmt.Fprintln(stdout, "\nsampled aggregate bandwidth (MB/s):")
 		for _, r := range sampler.DeriveRates() {
 			if r.ReadBps == 0 && r.WriteBps == 0 {
 				continue
 			}
-			fmt.Printf("  t=%-12v read %10.1f  write %10.1f  imbalance %.2f\n",
+			fmt.Fprintf(stdout, "  t=%-12v read %10.1f  write %10.1f  imbalance %.2f\n",
 				r.At, r.ReadBps/1e6, r.WriteBps/1e6, r.LoadImbalance)
 		}
 	}
@@ -292,17 +305,18 @@ func main() {
 	if inv != nil {
 		vios := inv.Finish()
 		st := inv.Stats()
-		fmt.Printf("\nvalidation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
+		fmt.Fprintf(stdout, "\nvalidation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
 			st.Dispatches, st.TraceRecords, st.ClientOps, st.OSTEvents)
 		if len(vios) == 0 {
-			fmt.Println("validation: all invariants held")
+			fmt.Fprintln(stdout, "validation: all invariants held")
 		} else {
 			for _, v := range vios {
-				fmt.Printf("validation: VIOLATION %s\n", v)
+				fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
 			}
-			os.Exit(1)
+			return fmt.Errorf("%d invariant violation(s)", len(vios))
 		}
 	}
+	return nil
 }
 
 // scaleOpts bundles the -ranks scale-mode knobs.
@@ -341,11 +355,15 @@ func reportHash(rep workload.ShardedReport) uint64 {
 // runWorkersSweep runs the identical sharded scale config at worker counts
 // 1, 2, 4, ... up to o.workersSweep (always including the max), printing a
 // wall-clock speedup/parallel-efficiency table and verifying that every
-// worker count produces the same simulated output. Returns false when the
+// worker count produces the same simulated output. It fails when the
 // outputs diverge (a determinism bug) or an armed invariant fired.
-func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
+func runWorkersSweep(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	if o.shards <= 1 {
-		log.Fatal("-workers-sweep needs -shards > 1")
+		return fmt.Errorf("-workers-sweep needs -shards > 1")
+	}
+	cfg, err := cluster.Config()
+	if err != nil {
+		return err
 	}
 	var counts []int
 	for w := 1; w < o.workersSweep; w *= 2 {
@@ -353,9 +371,9 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	}
 	counts = append(counts, o.workersSweep)
 
-	fmt.Printf("workers sweep: %d ranks x %d shards, %d step(s), %s/rank, %d host cores\n",
+	fmt.Fprintf(stdout, "workers sweep: %d ranks x %d shards, %d step(s), %s/rank, %d host cores\n",
 		o.ranks, o.shards, o.steps, cli.FormatSize(o.bytesPerRank), runtime.NumCPU())
-	fmt.Printf("  %-8s %-12s %-9s %-11s %-8s %s\n",
+	fmt.Fprintf(stdout, "  %-8s %-12s %-9s %-11s %-8s %s\n",
 		"workers", "wall", "speedup", "efficiency", "windows", "output-hash")
 
 	ok := true
@@ -364,7 +382,7 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	for i, w := range counts {
 		oo := o
 		oo.workers = w
-		rep, invOK, wall := runShardedOnce(cluster, oo)
+		rep, invOK, wall := runShardedOnce(stdout, cfg, cluster.Seed, oo)
 		hash := reportHash(rep)
 		if !invOK {
 			ok = false
@@ -373,33 +391,30 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 			baseWall, baseHash = wall, hash
 		}
 		speedup := float64(baseWall) / float64(wall)
-		fmt.Printf("  %-8d %-12v %-9s %-11s %-8d %016x\n",
+		fmt.Fprintf(stdout, "  %-8d %-12v %-9s %-11s %-8d %016x\n",
 			w, wall.Round(time.Millisecond),
 			fmt.Sprintf("%.2fx", speedup),
 			fmt.Sprintf("%.1f%%", 100*speedup/float64(w)),
 			rep.Windows, hash)
 		if hash != baseHash {
-			fmt.Printf("sweep: OUTPUT MISMATCH at workers=%d (hash %016x, want %016x)\n", w, hash, baseHash)
+			fmt.Fprintf(stdout, "sweep: OUTPUT MISMATCH at workers=%d (hash %016x, want %016x)\n", w, hash, baseHash)
 			ok = false
 		}
 	}
-	if ok {
-		fmt.Printf("sweep: output byte-identical across workers %v\n", counts)
+	if !ok {
+		return fmt.Errorf("workers sweep failed")
 	}
-	return ok
+	fmt.Fprintf(stdout, "sweep: output byte-identical across workers %v\n", counts)
+	return nil
 }
 
 // runShardedOnce executes one sharded scale run and reports the workload
 // result, whether armed invariants held, and the host wall-clock time.
-func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedReport, bool, time.Duration) {
-	cfg, err := cluster.Config()
-	if err != nil {
-		log.Fatal(err)
-	}
+func runShardedOnce(stdout io.Writer, cfg pfs.Config, seed int64, o scaleOpts) (workload.ShardedReport, bool, time.Duration) {
 	var invs []*validate.Invariants
 	shcfg := workload.ShardedConfig{
 		Scale: o.scaleConfig(), Shards: o.shards, Workers: o.workers,
-		FS: cfg, Seed: cluster.Seed,
+		FS: cfg, Seed: seed,
 	}
 	if o.validate {
 		shcfg.AttachShard = func(shard int, e *des.Engine, sim *pfs.FS) {
@@ -414,7 +429,7 @@ func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedRepo
 	ok := true
 	for _, inv := range invs {
 		for _, v := range inv.Finish() {
-			fmt.Printf("validation: VIOLATION %s\n", v)
+			fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
 			ok = false
 		}
 	}
@@ -425,12 +440,12 @@ func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedRepo
 // HACC-IO-like dump where every rank is a continuation-form event process
 // (no goroutine per rank), optionally sharded across engines under a
 // ParallelGroup. It reports simulated results plus host-side cost — wall
-// time, event throughput, and heap bytes per rank. Returns false when an
+// time, event throughput, and heap bytes per rank. It fails when an
 // armed invariant was violated.
-func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
+func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sc := o.scaleConfig()
 
@@ -479,7 +494,7 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 		rep := workload.RunShardedCheckpoint(shcfg)
 		makespan, totalBytes, effMBps, events, ioErrors =
 			rep.Makespan, rep.TotalBytes, rep.EffectiveMBps, rep.Events, rep.IOErrors
-		fmt.Printf("sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
+		fmt.Fprintf(stdout, "sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
 			rep.Shards, rep.Workers, rep.RanksPerShard, rep.Lookahead, rep.Windows)
 	}
 
@@ -494,18 +509,18 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 	runtime.KeepAlive(keepFS)
 
 	nodes := (o.ranks + o.ranksPerNode - 1) / o.ranksPerNode
-	fmt.Printf("scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
+	fmt.Fprintf(stdout, "scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
 		o.ranks, nodes, o.ranksPerNode, o.steps, cli.FormatSize(o.bytesPerRank))
-	fmt.Printf("  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
+	fmt.Fprintf(stdout, "  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
 		makespan, cli.FormatSize(totalBytes), effMBps, ioErrors)
 	evRate := float64(events) / wall.Seconds()
-	fmt.Printf("  host: %d events in %v (%.2fM events/s), heap %d B/rank\n",
+	fmt.Fprintf(stdout, "  host: %d events in %v (%.2fM events/s), heap %d B/rank\n",
 		events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank)
 
 	ok := true
 	for _, inv := range invs {
 		for _, v := range inv.Finish() {
-			fmt.Printf("validation: VIOLATION %s\n", v)
+			fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
 			ok = false
 		}
 	}
@@ -518,11 +533,14 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 			clops += st.ClientOps
 			ostev += st.OSTEvents
 		}
-		fmt.Printf("validation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
+		fmt.Fprintf(stdout, "validation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
 			disp, recs, clops, ostev)
 		if ok {
-			fmt.Println("validation: all invariants held")
+			fmt.Fprintln(stdout, "validation: all invariants held")
 		}
 	}
-	return ok
+	if !ok {
+		return fmt.Errorf("invariant violation(s)")
+	}
+	return nil
 }

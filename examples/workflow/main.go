@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"pioeval/internal/burstbuffer"
+	"pioeval/internal/campaign"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
 	"pioeval/internal/workload"
@@ -41,11 +41,13 @@ func main() {
 	// Part 3: checkpoint through the burst buffer vs direct.
 	engine3 := des.NewEngine(11)
 	fsim3 := pfs.New(engine3, cfg)
-	bb := burstbuffer.New(engine3, fsim3, "bb0", burstbuffer.DefaultConfig())
-	h := workload.NewHarness(engine3, fsim3, 4, "cn", nil)
+	pr, err := campaign.Stack{Tier: "bb"}.Build(engine3, fsim3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	h := workload.NewHarnessOn(engine3, fsim3, 4, "cn", nil, pr)
 	buffered := workload.RunCheckpoint(h, workload.CheckpointConfig{
 		Ranks: 4, BytesPerRank: 16 << 20, Steps: 3, ComputeTime: 50 * des.Millisecond,
-		Buffer: bb,
 	})
 
 	engine4 := des.NewEngine(11)
@@ -60,7 +62,7 @@ func main() {
 		direct.EffectiveMBps, direct.IOFraction)
 	fmt.Printf("  via burst buffer:   perceived %8.1f MB/s, I/O fraction %.2f\n",
 		buffered.EffectiveMBps, buffered.IOFraction)
-	st := bb.Stats()
+	st := pr.Buffers()[0].Stats()
 	fmt.Printf("  buffer absorbed %d MB (peak occupancy %d MB, stalls %d)\n",
 		st.Absorbed>>20, st.PeakUsed>>20, st.Stalls)
 }

@@ -1,11 +1,12 @@
 // Package campaign implements a parallel experiment-campaign runner: a
 // declarative Spec describes a cartesian grid over simulation parameters
 // (ranks, device model, stripe geometry, transfer/block sizes, access
-// pattern, collective vs. independent MPI-IO, burst-buffer staging, fault
-// campaigns) plus a repetition count; Run expands the grid into independent
-// simulation runs, executes them on a bounded worker pool, and aggregates
-// per-run metrics into per-point distribution summaries (mean, median,
-// p95, stddev, bootstrap confidence intervals via internal/stats).
+// pattern, collective vs. independent MPI-IO, storage tier, compressor,
+// fault campaigns) plus a repetition count; Run expands the grid into
+// independent simulation runs, executes them on a bounded worker pool,
+// and aggregates per-run metrics into per-point distribution summaries
+// (mean, median, p95, stddev, bootstrap confidence intervals via
+// internal/stats).
 //
 // Every run gets a seed derived deterministically from the campaign seed
 // and the run index, and results are stored by run index, so the
@@ -20,20 +21,20 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
-	"pioeval/internal/reduce"
 )
 
 // Workload kinds a campaign can sweep.
 const (
 	// WorkloadIOR is the IOR-like bulk-I/O generator (write + read-back,
-	// shared file). Pattern and Collective apply; BurstBuffer does not.
+	// shared file). Pattern and Collective apply.
 	WorkloadIOR = "ior"
 	// WorkloadCheckpoint is the HACC-IO-like bulk-synchronous checkpoint
-	// generator. BurstBuffer applies; Pattern and Collective do not.
+	// generator. Pattern and Collective do not apply.
 	WorkloadCheckpoint = "checkpoint"
 )
 
@@ -56,7 +57,6 @@ type Spec struct {
 	TransferSizes []int64
 	Patterns      []string // sequential, strided, random (IOR only)
 	Collective    []bool   // two-phase collective MPI-IO (IOR only)
-	BurstBuffer   []bool   // stage writes through a burst buffer (checkpoint only)
 	Tiers         []string // storage tiers: direct (default), bb, nodelocal
 	Compress      []string // data-reduction stage: none (default), or a reduce preset (lz, deflate, zfp, sz)
 	Faults        []string // fault-campaign specs (faults.ParseCampaign syntax); "" = none
@@ -73,7 +73,6 @@ type Point struct {
 	TransferSize int64  `json:"transfer_size"`
 	Pattern      string `json:"pattern,omitempty"`
 	Collective   bool   `json:"collective,omitempty"`
-	BurstBuffer  bool   `json:"burst_buffer,omitempty"`
 	Tier         string `json:"tier,omitempty"`     // "" = direct
 	Compress     string `json:"compress,omitempty"` // "" = none
 	Faults       string `json:"faults,omitempty"`
@@ -88,9 +87,6 @@ func (p Point) Label() string {
 	}
 	if p.Collective {
 		b.WriteString(" collective")
-	}
-	if p.BurstBuffer {
-		b.WriteString(" bb")
 	}
 	if p.Tier != "" {
 		fmt.Fprintf(&b, " tier=%s", p.Tier)
@@ -118,70 +114,46 @@ func (s Spec) withDefaults() Spec {
 	if s.Steps <= 0 {
 		s.Steps = 4
 	}
-	if len(s.Ranks) == 0 {
-		s.Ranks = []int{4}
-	}
-	if len(s.Devices) == 0 {
-		s.Devices = []string{"hdd"}
-	}
-	if len(s.StripeCounts) == 0 {
-		s.StripeCounts = []int{4}
-	}
-	if len(s.StripeSizes) == 0 {
-		s.StripeSizes = []int64{1 << 20}
-	}
-	if len(s.BlockSizes) == 0 {
-		s.BlockSizes = []int64{16 << 20}
-	}
-	if len(s.TransferSizes) == 0 {
-		s.TransferSizes = []int64{1 << 20}
-	}
-	if len(s.Patterns) == 0 {
-		s.Patterns = []string{"sequential"}
-	}
-	if len(s.Collective) == 0 {
-		s.Collective = []bool{false}
-	}
-	if len(s.BurstBuffer) == 0 {
-		s.BurstBuffer = []bool{false}
-	}
-	if len(s.Tiers) == 0 {
-		s.Tiers = []string{""}
-	}
-	if len(s.Compress) == 0 {
-		s.Compress = []string{""}
-	}
-	if len(s.Faults) == 0 {
-		s.Faults = []string{""}
-	}
-	// Canonical spellings: "direct" is the "" tier and "none" the ""
-	// compressor. Normalizing here — inside Canonical — keeps equivalent
-	// spec texts hashing equal, so a result cache keyed on the canonical
-	// digest (siod's) never stores the same campaign twice.
-	s.Tiers = canonicalAxis(s.Tiers, "direct")
-	s.Compress = canonicalAxis(s.Compress, "none")
+	s.Ranks = orDefault(s.Ranks, 4)
+	s.Devices = orDefault(s.Devices, "hdd")
+	s.StripeCounts = orDefault(s.StripeCounts, 4)
+	s.StripeSizes = orDefault(s.StripeSizes, 1<<20)
+	s.BlockSizes = orDefault(s.BlockSizes, 16<<20)
+	s.TransferSizes = orDefault(s.TransferSizes, 1<<20)
+	s.Patterns = orDefault(s.Patterns, "sequential")
+	s.Collective = orDefault(s.Collective, false)
+	// Canonical stack spellings ("direct" and "none" are ""): normalizing
+	// here — inside Canonical — keeps equivalent spec texts hashing equal,
+	// so a result cache keyed on the canonical digest (siod's) never
+	// stores the same campaign twice.
+	s.Tiers = canonicalAxis(orDefault(s.Tiers, ""), func(v string) string { return Stack{Tier: v}.Canonical().Tier })
+	s.Compress = canonicalAxis(orDefault(s.Compress, ""), func(v string) string { return Stack{Compress: v}.Canonical().Compress })
+	s.Faults = orDefault(s.Faults, "")
 	return s
 }
 
-// canonicalAxis rewrites an axis's verbose default spelling to the
-// canonical "" without mutating the caller's slice.
-func canonicalAxis(vals []string, verbose string) []string {
-	changed := false
-	for _, v := range vals {
-		if v == verbose {
-			changed = true
-			break
-		}
+// orDefault gives an empty axis its one default value.
+func orDefault[T any](vals []T, def T) []T {
+	if len(vals) == 0 {
+		return []T{def}
 	}
-	if !changed {
-		return vals
-	}
-	out := make([]string, len(vals))
+	return vals
+}
+
+// canonicalAxis maps canon over an axis, copying the slice only when a
+// value changes so the caller's slice is never mutated.
+func canonicalAxis(vals []string, canon func(string) string) []string {
+	var out []string
 	for i, v := range vals {
-		if v == verbose {
-			v = ""
+		if c := canon(v); c != v {
+			if out == nil {
+				out = slices.Clone(vals)
+			}
+			out[i] = c
 		}
-		out[i] = v
+	}
+	if out == nil {
+		return vals
 	}
 	return out
 }
@@ -201,11 +173,6 @@ func (s Spec) Validate() error {
 	s = s.withDefaults()
 	switch s.Workload {
 	case WorkloadIOR:
-		for _, bb := range s.BurstBuffer {
-			if bb {
-				return fmt.Errorf("campaign: the burst-buffer axis requires the checkpoint workload")
-			}
-		}
 	case WorkloadCheckpoint:
 		for _, c := range s.Collective {
 			if c {
@@ -259,30 +226,16 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: unknown pattern %q (want sequential, strided, or random)", p)
 		}
 	}
+	// Every tier is checked before any compressor, so a spec that botches
+	// both reports the tier first, as ParseStack does for one pair.
 	for _, tier := range s.Tiers {
-		switch tier {
-		case "", "direct", "bb", "nodelocal":
-		default:
-			return fmt.Errorf("campaign: unknown tier %q (want direct, bb, or nodelocal)", tier)
-		}
-		if tier == "bb" {
-			for _, bb := range s.BurstBuffer {
-				if bb {
-					return fmt.Errorf("campaign: the bb tier and the legacy burstbuffer axis cannot combine (pick one)")
-				}
-			}
+		if _, err := ParseStack(tier, ""); err != nil {
+			return err
 		}
 	}
-	// The compress axis is checked after tiers so a spec that botches both
-	// reports the tier first — one coherent error path, not two competing
-	// messages for what is usually a single malformed stanza.
 	for _, c := range s.Compress {
-		switch c {
-		case "", "none":
-		default:
-			if _, ok := reduce.Lookup(c); !ok {
-				return fmt.Errorf("campaign: unknown compressor %q (want none or one of %v)", c, reduce.Names())
-			}
+		if _, err := ParseStack("", c); err != nil {
+			return err
 		}
 	}
 	for _, f := range s.Faults {
@@ -296,50 +249,48 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// axes is the grid table, in expansion order (the last axis varies
+// fastest): each axis's length in a spec, and a setter writing its i-th
+// value onto a point. Adding an axis is one row here, its Spec and Point
+// fields, and its default in withDefaults.
+var axes = [...]struct {
+	n   func(s *Spec) int
+	set func(s *Spec, p *Point, i int)
+}{
+	{func(s *Spec) int { return len(s.Ranks) }, func(s *Spec, p *Point, i int) { p.Ranks = s.Ranks[i] }},
+	{func(s *Spec) int { return len(s.Devices) }, func(s *Spec, p *Point, i int) { p.Device = s.Devices[i] }},
+	{func(s *Spec) int { return len(s.StripeCounts) }, func(s *Spec, p *Point, i int) { p.StripeCount = s.StripeCounts[i] }},
+	{func(s *Spec) int { return len(s.StripeSizes) }, func(s *Spec, p *Point, i int) { p.StripeSize = s.StripeSizes[i] }},
+	{func(s *Spec) int { return len(s.BlockSizes) }, func(s *Spec, p *Point, i int) { p.BlockSize = s.BlockSizes[i] }},
+	{func(s *Spec) int { return len(s.TransferSizes) }, func(s *Spec, p *Point, i int) { p.TransferSize = s.TransferSizes[i] }},
+	{func(s *Spec) int { return len(s.Patterns) }, func(s *Spec, p *Point, i int) { p.Pattern = s.Patterns[i] }},
+	{func(s *Spec) int { return len(s.Collective) }, func(s *Spec, p *Point, i int) { p.Collective = s.Collective[i] }},
+	{func(s *Spec) int { return len(s.Tiers) }, func(s *Spec, p *Point, i int) { p.Tier = s.Tiers[i] }},
+	{func(s *Spec) int { return len(s.Compress) }, func(s *Spec, p *Point, i int) { p.Compress = s.Compress[i] }},
+	{func(s *Spec) int { return len(s.Faults) }, func(s *Spec, p *Point, i int) { p.Faults = s.Faults[i] }},
+}
+
 // Expand returns the cartesian product of the spec's axes in a fixed
-// deterministic order; Point.ID is the index into the returned slice.
+// deterministic order — lexicographic over axes, last axis fastest;
+// Point.ID is the index into the returned slice.
 func (s Spec) Expand() []Point {
 	s = s.withDefaults()
-	var out []Point
-	for _, ranks := range s.Ranks {
-		for _, dev := range s.Devices {
-			for _, sc := range s.StripeCounts {
-				for _, ss := range s.StripeSizes {
-					for _, bs := range s.BlockSizes {
-						for _, ts := range s.TransferSizes {
-							for _, pat := range s.Patterns {
-								for _, coll := range s.Collective {
-									for _, bb := range s.BurstBuffer {
-										// Spellings are already canonical here:
-										// withDefaults rewrote direct/none to "".
-										for _, tier := range s.Tiers {
-											for _, comp := range s.Compress {
-												for _, f := range s.Faults {
-													out = append(out, Point{
-														ID:           len(out),
-														Ranks:        ranks,
-														Device:       dev,
-														StripeCount:  sc,
-														StripeSize:   ss,
-														BlockSize:    bs,
-														TransferSize: ts,
-														Pattern:      pat,
-														Collective:   coll,
-														BurstBuffer:  bb,
-														Tier:         tier,
-														Compress:     comp,
-														Faults:       f,
-													})
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+	var lens [len(axes)]int
+	n := 1
+	for k, a := range axes {
+		lens[k] = a.n(&s)
+		n *= lens[k]
+	}
+	out := make([]Point, n)
+	for id := range out {
+		p := &out[id]
+		p.ID = id
+		// Decode id as a mixed-radix number, least significant digit on
+		// the last axis.
+		rest := id
+		for k := len(axes) - 1; k >= 0; k-- {
+			axes[k].set(&s, p, rest%lens[k])
+			rest /= lens[k]
 		}
 	}
 	return out

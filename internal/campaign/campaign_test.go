@@ -63,7 +63,8 @@ func TestValidate(t *testing.T) {
 		{Devices: []string{"floppy"}},
 		{Patterns: []string{"zigzag"}},
 		{Faults: []string{"explode@1s"}},
-		{Workload: WorkloadIOR, BurstBuffer: []bool{true}},
+		{Tiers: []string{"", "warp"}},
+		{Compress: []string{"none", "brotli"}},
 		{Workload: WorkloadCheckpoint, Collective: []bool{true}},
 		{Workload: WorkloadCheckpoint, Patterns: []string{"random"}},
 	}
@@ -72,8 +73,14 @@ func TestValidate(t *testing.T) {
 			t.Errorf("spec %d should fail validation: %+v", i, s)
 		}
 	}
-	if err := (Spec{}).Validate(); err != nil {
-		t.Errorf("zero spec should validate: %v", err)
+	for _, s := range []Spec{
+		{},
+		{Workload: WorkloadIOR, Tiers: []string{"", "bb"}},
+		{Workload: WorkloadCheckpoint, Tiers: []string{"", "bb"}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %+v should validate: %v", s, err)
+		}
 	}
 }
 
@@ -132,6 +139,15 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(src); err == nil {
 			t.Errorf("spec %q should fail to parse", src)
 		}
+	}
+}
+
+// TestParseSpecRejectsBurstBuffer: the removed legacy key fails with an
+// error that points at the tier axis that replaced it.
+func TestParseSpecRejectsBurstBuffer(t *testing.T) {
+	_, err := ParseSpec("campaign \"x\" {\n  workload checkpoint\n  burstbuffer false, true\n}")
+	if err == nil || !strings.Contains(err.Error(), "tier bb") {
+		t.Fatalf("ParseSpec error %v, want one pointing to `tier bb`", err)
 	}
 }
 
@@ -218,7 +234,7 @@ func TestCheckpointWorkload(t *testing.T) {
 		Devices:       []string{"hdd"},
 		BlockSizes:    []int64{4 << 20},
 		TransferSizes: []int64{1 << 20},
-		BurstBuffer:   []bool{false, true},
+		Tiers:         []string{"", "bb"},
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ func FuzzSpecParse(f *testing.F) {
 		"campaign \"t\" {\n}\n",
 		"campaign \"t\" {\n\tseed 7\n\treps 2\n\tranks 2, 4\n\tdevice hdd, ssd\n}\n",
 		"campaign \"t\" {\n\tworkload checkpoint\n\tburst-buffer false, true\n\tblock-size 1MB\n}\n",
+		"campaign \"t\" {\n\tworkload checkpoint\n\tburstbuffer false, true\n\tblock-size 1MB\n}\n",
 		"campaign \"t\" {\n\ttransfer-size 256KB, 1MB # comment\n\tfaults \"\", \"ostcrash:1@5ms\"\n}\n",
 		"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb, nodelocal\n\tblock-size 1MB\n}\n",
 		"campaign \"t\" {\n\ttier warp\n}\n",
@@ -36,11 +37,13 @@ func FuzzSpecParse(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			return
 		}
-		n := len(s.Ranks) * len(s.Devices) * len(s.StripeCounts) * len(s.StripeSizes) *
-			len(s.BlockSizes) * len(s.TransferSizes) * len(s.Patterns) * len(s.Collective) *
-			len(s.BurstBuffer) * len(s.Tiers) * len(s.Compress) * len(s.Faults)
-		if n <= 0 || n > maxFuzzPoints {
-			return
+		n := 1
+		for _, l := range []int{len(s.Ranks), len(s.Devices), len(s.StripeCounts), len(s.StripeSizes),
+			len(s.BlockSizes), len(s.TransferSizes), len(s.Patterns), len(s.Collective),
+			len(s.Tiers), len(s.Compress), len(s.Faults)} {
+			if n *= l; n > maxFuzzPoints {
+				return
+			}
 		}
 		points := s.Expand()
 		if len(points) != n {

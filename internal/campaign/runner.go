@@ -10,11 +10,9 @@ import (
 	"time"
 
 	"pioeval/internal/blockdev"
-	"pioeval/internal/burstbuffer"
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
 	"pioeval/internal/pfs"
-	"pioeval/internal/reduce"
 	"pioeval/internal/storage"
 	"pioeval/internal/workload"
 )
@@ -273,23 +271,15 @@ func simulate(spec Spec, p Point, seed int64) map[string]float64 {
 			panic(fmt.Sprintf("campaign: fault campaign %q: %v", p.Faults, err))
 		}
 	}
-	pr, err := storage.NewProvider(e, fs, p.Tier, storage.ProviderConfig{})
+	pr, err := Stack{Tier: p.Tier, Compress: p.Compress}.Build(e, fs)
 	if err != nil {
-		panic(fmt.Sprintf("campaign: unvalidated tier %q: %v", p.Tier, err))
-	}
-	var comp *reduce.Stage
-	if p.Compress != "" {
-		comp, err = reduce.New(p.Compress)
-		if err != nil {
-			panic(fmt.Sprintf("campaign: unvalidated compressor %q: %v", p.Compress, err))
-		}
-		pr.Push(comp)
+		panic(fmt.Sprintf("campaign: unvalidated stack: %v", err))
 	}
 	h := workload.NewHarnessOn(e, fs, p.Ranks, "camp", nil, pr)
 	var m map[string]float64
 	switch spec.Workload {
 	case WorkloadCheckpoint:
-		m = simulateCheckpoint(e, fs, h, spec, p)
+		m = simulateCheckpoint(h, spec, p)
 	default:
 		m = simulateIOR(h, p)
 	}
@@ -305,12 +295,15 @@ func simulate(spec Spec, p Point, seed int64) map[string]float64 {
 			m["bb_peak_used_MB"] = mb
 		}
 	}
-	if comp != nil {
-		cst := comp.StageStats()
-		m["compress_ratio"] = cst.Ratio()
-		m["compress_cpu_s"] = cst.CompressSeconds + cst.DecompressSeconds
-		if cpu := cst.CompressSeconds + cst.DecompressSeconds; cpu > 0 {
-			m["compress_MBps"] = float64(cst.LogicalWritten+cst.LogicalRead) / 1e6 / cpu
+	for _, st := range pr.Stages() {
+		if acct, ok := st.(storage.StageAccounting); ok {
+			cst := acct.StageStats()
+			cpu := cst.CompressSeconds + cst.DecompressSeconds
+			m["compress_ratio"] = cst.Ratio()
+			m["compress_cpu_s"] = cpu
+			if cpu > 0 {
+				m["compress_MBps"] = float64(cst.LogicalWritten+cst.LogicalRead) / 1e6 / cpu
+			}
 		}
 	}
 	return m
@@ -344,11 +337,7 @@ func simulateIOR(h *workload.Harness, p Point) map[string]float64 {
 	}
 }
 
-func simulateCheckpoint(e *des.Engine, fs *pfs.FS, h *workload.Harness, spec Spec, p Point) map[string]float64 {
-	var bb *burstbuffer.Buffer
-	if p.BurstBuffer {
-		bb = burstbuffer.New(e, fs, "bb0", burstbuffer.DefaultConfig())
-	}
+func simulateCheckpoint(h *workload.Harness, spec Spec, p Point) map[string]float64 {
 	rep := workload.RunCheckpoint(h, workload.CheckpointConfig{
 		Ranks:        p.Ranks,
 		BytesPerRank: p.BlockSize,
@@ -356,7 +345,6 @@ func simulateCheckpoint(e *des.Engine, fs *pfs.FS, h *workload.Harness, spec Spe
 		ComputeTime:  stepDuration,
 		TransferSize: p.TransferSize,
 		ReuseFile:    true,
-		Buffer:       bb,
 	})
 	worst := des.Time(0)
 	for _, d := range rep.StepIOTime {

@@ -132,7 +132,7 @@ func (s *Spec) set(key string, vals []string) error {
 	case "collective":
 		s.Collective, err = parseBools(vals)
 	case "burstbuffer":
-		s.BurstBuffer, err = parseBools(vals)
+		return fmt.Errorf("key %q was removed; use `tier bb` (or `tier direct, bb` to compare)", key)
 	case "tier":
 		s.Tiers = vals
 	case "compress":

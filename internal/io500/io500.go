@@ -29,7 +29,6 @@ import (
 	"pioeval/internal/mpi"
 	"pioeval/internal/pfs"
 	"pioeval/internal/posixio"
-	"pioeval/internal/reduce"
 	"pioeval/internal/storage"
 	"pioeval/internal/trace"
 	"pioeval/internal/validate"
@@ -117,11 +116,12 @@ func (c Config) withDefaults() Config {
 	if c.Device == "" {
 		c.Device = "hdd"
 	}
-	if c.Tier == "" {
+	// Config JSON spells the direct tier out ("tier":"direct") but
+	// omits the uncompressed stage.
+	st := campaign.Stack{Tier: c.Tier, Compress: c.Compress}.Canonical()
+	c.Compress = st.Compress
+	if st.Tier == "" {
 		c.Tier = storage.TierDirect
-	}
-	if c.Compress == "none" {
-		c.Compress = ""
 	}
 	if c.StripeCount <= 0 {
 		c.StripeCount = 4
@@ -161,16 +161,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("io500: unknown device %q (want hdd, ssd, or nvme)", c.Device)
 	}
-	switch c.Tier {
-	case storage.TierDirect, storage.TierBB, storage.TierNodeLocal:
-	default:
-		return fmt.Errorf("io500: unknown tier %q (want %s, %s, or %s)",
-			c.Tier, storage.TierDirect, storage.TierBB, storage.TierNodeLocal)
-	}
-	if c.Compress != "" {
-		if _, ok := reduce.Lookup(c.Compress); !ok {
-			return fmt.Errorf("io500: unknown compressor %q (want none or one of %v)", c.Compress, reduce.Names())
-		}
+	if _, err := campaign.ParseStack(c.Tier, c.Compress); err != nil {
+		return err
 	}
 	if c.EasyXfer > c.EasyBlock {
 		return fmt.Errorf("io500: easy transfer size %d exceeds easy block size %d", c.EasyXfer, c.EasyBlock)
@@ -314,7 +306,6 @@ func Run(cfg Config) (*Result, error) {
 type stepEnv struct {
 	e   *des.Engine
 	fs  *pfs.FS
-	pr  *storage.Provider
 	h   *workload.Harness
 	inv *validate.Invariants
 }
@@ -332,18 +323,10 @@ func newStep(cfg Config) *stepEnv {
 	}
 	s := &stepEnv{e: des.NewEngine(cfg.Seed)}
 	s.fs = pfs.New(s.e, campaign.ClusterConfig(pt))
-	pr, err := storage.NewProvider(s.e, s.fs, cfg.Tier, storage.ProviderConfig{})
+	pr, err := campaign.Stack{Tier: cfg.Tier, Compress: cfg.Compress}.Build(s.e, s.fs)
 	if err != nil {
-		panic(fmt.Sprintf("io500: unvalidated tier %q: %v", cfg.Tier, err))
+		panic(fmt.Sprintf("io500: unvalidated stack: %v", err))
 	}
-	if cfg.Compress != "" {
-		comp, err := reduce.New(cfg.Compress)
-		if err != nil {
-			panic(fmt.Sprintf("io500: unvalidated compressor %q: %v", cfg.Compress, err))
-		}
-		pr.Push(comp)
-	}
-	s.pr = pr
 	var col *trace.Collector
 	if cfg.Check {
 		// The tier-conservation invariant reconciles POSIX-layer byte

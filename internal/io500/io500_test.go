@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"pioeval/internal/campaign"
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
+	"pioeval/internal/reduce"
 	"pioeval/internal/workload"
 )
 
@@ -307,5 +309,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+}
+
+// TestValidateAgreesWithParseStack: Tier and Compress accept and reject
+// exactly what campaign.ParseStack does, with the same error text.
+func TestValidateAgreesWithParseStack(t *testing.T) {
+	for _, tier := range []string{"", "direct", "bb", "nodelocal", "warp"} {
+		for _, comp := range append([]string{"", "none", "brotli"}, reduce.Names()...) {
+			_, want := campaign.ParseStack(tier, comp)
+			got := Config{Tier: tier, Compress: comp}.Validate()
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Errorf("tier %q compress %q: Validate error %v, ParseStack error %v", tier, comp, got, want)
+			}
+		}
 	}
 }

@@ -98,7 +98,7 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 		StripeCounts: []int{4}, StripeSizes: []int64{1 << 20},
 		BlockSizes: []int64{16 << 20}, TransferSizes: []int64{1 << 20},
 		Patterns: []string{"sequential"}, Collective: []bool{false},
-		BurstBuffer: []bool{false}, Tiers: []string{""}, Faults: []string{""},
+		Tiers: []string{""}, Faults: []string{""},
 		Compress: []string{""},
 	}
 	if specKey(implicit) != specKey(explicit) {

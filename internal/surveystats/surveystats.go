@@ -55,9 +55,6 @@ func (g Grid) Points() []io500.Config {
 		for _, tier := range g.Tiers {
 			for _, r := range g.Ranks {
 				for _, comp := range comps {
-					if comp == "none" {
-						comp = ""
-					}
 					cfg := g.Base
 					cfg.Device = dev
 					cfg.Tier = tier
