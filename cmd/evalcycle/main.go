@@ -131,15 +131,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 func mkCfg(dev string) (pfs.Config, error) {
 	cfg := pfs.DefaultConfig()
 	cfg.NumIONodes = 0
-	switch dev {
-	case "hdd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultHDD() }
-	case "ssd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
-	case "nvme":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	default:
-		return pfs.Config{}, fmt.Errorf("unknown device %q", dev)
+	var err error
+	if cfg.OSTDevice, err = blockdev.ModelByName(dev); err != nil {
+		return pfs.Config{}, err
 	}
 	return cfg, nil
 }

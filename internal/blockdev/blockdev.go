@@ -107,9 +107,24 @@ func (m *SSDModel) Cost(req Request, prevEnd int64) (latency, transfer des.Time)
 // Name implements Model.
 func (m *SSDModel) Name() string { return "ssd" }
 
+// ModelByName is the device table: it returns the constructor of the
+// default model for device name "hdd", "ssd" or "nvme", the names every
+// flag, spec and config accepts, or an error listing them.
+func ModelByName(name string) (func() Model, error) {
+	switch name {
+	case "hdd":
+		return func() Model { return DefaultHDD() }, nil
+	case "ssd":
+		return func() Model { return DefaultSSD() }, nil
+	case "nvme":
+		return func() Model { return DefaultNVMe() }, nil
+	}
+	return nil, fmt.Errorf("unknown device %q (want hdd, ssd, or nvme)", name)
+}
+
 // Device is a queued storage device: a Model behind a fixed-depth service
-// queue. All accesses funnel through Access, which blocks the calling
-// process for queueing plus service time.
+// queue. All accesses funnel through AccessE (or its blocking veneer
+// Access), which holds the caller for queueing plus service time.
 type Device struct {
 	eng     *des.Engine
 	name    string
@@ -130,6 +145,8 @@ type Device struct {
 
 	// slowdown > 1 degrades the device (failure/straggler injection).
 	slowdown float64
+
+	free des.Freelist[access]
 }
 
 // SetSlowdown injects degradation: every subsequent request's service time
@@ -169,90 +186,103 @@ func NewDevice(e *des.Engine, name string, model Model, queueDepth int) *Device 
 	}
 }
 
-// Access performs the request in simulated time, blocking the caller.
+// Access performs the request in simulated time, blocking the caller:
+// AccessE run through des.Block.
 func (d *Device) Access(p *des.Proc, req Request) {
-	if req.Size < 0 || req.Offset < 0 {
-		panic(fmt.Sprintf("blockdev: bad request %+v", req))
-	}
-	d.queue.Acquire(p)
-	if d.inflight == 0 {
-		d.busySince = p.Now()
-	}
-	d.inflight++
-	lat, xfer := d.model.Cost(req, d.prevEnd)
-	if d.slowdown > 1 {
-		lat = des.Time(float64(lat) * d.slowdown)
-		xfer = des.Time(float64(xfer) * d.slowdown)
-	}
-	d.prevEnd = req.Offset + req.Size
-	if lat > 0 {
-		p.Wait(lat)
-	}
-	if xfer > 0 {
-		d.media.Use(p, xfer)
-	}
-	d.inflight--
-	if d.inflight == 0 {
-		d.busyAccum += p.Now() - d.busySince
-	}
-	d.queue.Release()
-	d.busy += lat + xfer
-	if req.Write {
-		d.writes++
-		d.bytesWritten += req.Size
-	} else {
-		d.reads++
-		d.bytesRead += req.Size
-	}
+	des.Block(p, func(ep *des.EventProc, k func()) { d.AccessE(ep, req, k) })
 }
 
-// AccessE is the continuation form of Access: it performs the request in
-// simulated time on the calling EventProc and runs k on completion. Cost
-// model, queueing, and accounting are identical to Access.
+// access is one request in flight: admission to the device queue, the
+// latency that overlaps with other queued requests, the serial media
+// hold, then the accounting. Machines are recycled through the device's
+// freelist with their continuations bound once, so a steady-state access
+// allocates nothing.
+type access struct {
+	d         *Device
+	ep        *des.EventProc
+	req       Request
+	lat, xfer des.Time
+	k         func()
+
+	admittedF, mediaF, heldF, servedF func()
+}
+
+func (d *Device) newAccess() *access {
+	a := &access{d: d}
+	a.admittedF = a.admitted
+	a.mediaF = a.media
+	a.heldF = a.held
+	a.servedF = a.served
+	return a
+}
+
+// AccessE performs the request in simulated time on the calling EventProc
+// and runs k on completion.
 func (d *Device) AccessE(ep *des.EventProc, req Request, k func()) {
 	if req.Size < 0 || req.Offset < 0 {
 		panic(fmt.Sprintf("blockdev: bad request %+v", req))
 	}
-	d.queue.AcquireE(ep, func() {
-		if d.inflight == 0 {
-			d.busySince = ep.Now()
-		}
-		d.inflight++
-		lat, xfer := d.model.Cost(req, d.prevEnd)
-		if d.slowdown > 1 {
-			lat = des.Time(float64(lat) * d.slowdown)
-			xfer = des.Time(float64(xfer) * d.slowdown)
-		}
-		d.prevEnd = req.Offset + req.Size
-		fin := func() {
-			d.inflight--
-			if d.inflight == 0 {
-				d.busyAccum += ep.Now() - d.busySince
-			}
-			d.queue.Release()
-			d.busy += lat + xfer
-			if req.Write {
-				d.writes++
-				d.bytesWritten += req.Size
-			} else {
-				d.reads++
-				d.bytesRead += req.Size
-			}
-			k()
-		}
-		media := func() {
-			if xfer > 0 {
-				d.media.UseE(ep, xfer, fin)
-			} else {
-				fin()
-			}
-		}
-		if lat > 0 {
-			ep.Wait(lat, media)
-		} else {
-			media()
-		}
-	})
+	a := d.free.Get(d.newAccess)
+	a.ep, a.req, a.k = ep, req, k
+	d.queue.AcquireE(ep, a.admittedF)
+}
+
+// admitted holds a queue slot: price the request and pay its latency.
+func (a *access) admitted() {
+	d := a.d
+	if d.inflight == 0 {
+		d.busySince = a.ep.Now()
+	}
+	d.inflight++
+	a.lat, a.xfer = d.model.Cost(a.req, d.prevEnd)
+	if d.slowdown > 1 {
+		a.lat = des.Time(float64(a.lat) * d.slowdown)
+		a.xfer = des.Time(float64(a.xfer) * d.slowdown)
+	}
+	d.prevEnd = a.req.Offset + a.req.Size
+	if a.lat > 0 {
+		a.ep.Wait(a.lat, a.mediaF)
+		return
+	}
+	a.media()
+}
+
+// media takes the serial media for the transfer component, if any.
+func (a *access) media() {
+	if a.xfer > 0 {
+		a.d.media.AcquireE(a.ep, a.heldF)
+		return
+	}
+	a.finish()
+}
+
+func (a *access) held() { a.ep.Wait(a.xfer, a.servedF) }
+
+func (a *access) served() {
+	a.d.media.Release()
+	a.finish()
+}
+
+// finish leaves the queue, books the request and runs k.
+func (a *access) finish() {
+	d := a.d
+	d.inflight--
+	if d.inflight == 0 {
+		d.busyAccum += a.ep.Now() - d.busySince
+	}
+	d.queue.Release()
+	d.busy += a.lat + a.xfer
+	if a.req.Write {
+		d.writes++
+		d.bytesWritten += a.req.Size
+	} else {
+		d.reads++
+		d.bytesRead += a.req.Size
+	}
+	k := a.k
+	a.ep, a.k = nil, nil
+	d.free.Put(a)
+	k()
 }
 
 // Name returns the device name.

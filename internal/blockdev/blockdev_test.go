@@ -189,3 +189,40 @@ func TestPropBusyBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAccessSteadyStateAllocs pins a blocking Access — latency and media
+// hold both taken — at zero allocations once its machine is on the
+// device's freelist.
+func TestAccessSteadyStateAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	d := NewDevice(e, "d", DefaultHDD(), 4)
+	var allocs float64
+	e.Spawn("x", func(p *des.Proc) {
+		off := int64(0)
+		allocs = testing.AllocsPerRun(100, func() {
+			off += 1 << 20 // a gap: every request seeks
+			d.Access(p, Request{Offset: off, Size: 4096, Write: true})
+		})
+	})
+	e.Run(des.MaxTime)
+	if allocs != 0 {
+		t.Fatalf("blocking Access: %v allocs, want 0", allocs)
+	}
+}
+
+// TestModelByName: the device table maps each accepted name to its default
+// model and rejects any other name with the accepted list.
+func TestModelByName(t *testing.T) {
+	for name, want := range map[string]Model{"hdd": DefaultHDD(), "ssd": DefaultSSD(), "nvme": DefaultNVMe()} {
+		mk, err := ModelByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := mk(); ServiceTime(got, Request{Size: 1 << 20}, 0) != ServiceTime(want, Request{Size: 1 << 20}, 0) {
+			t.Errorf("%s: model %+v, want %+v", name, got, want)
+		}
+	}
+	if _, err := ModelByName("tape"); err == nil || err.Error() != `unknown device "tape" (want hdd, ssd, or nvme)` {
+		t.Fatalf("tape: err = %v", err)
+	}
+}

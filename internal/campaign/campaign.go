@@ -21,9 +21,11 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
 )
@@ -213,10 +215,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, d := range s.Devices {
-		switch d {
-		case "hdd", "ssd", "nvme":
-		default:
-			return fmt.Errorf("campaign: unknown device %q (want hdd, ssd, or nvme)", d)
+		if _, err := blockdev.ModelByName(d); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	for _, p := range s.Patterns {
@@ -294,6 +294,22 @@ func (s Spec) Expand() []Point {
 		}
 	}
 	return out
+}
+
+// Runs returns how many simulations the spec asks for — its grid size
+// times Reps — without expanding the grid. The product saturates at
+// math.MaxInt, so no spec can overflow it.
+func (s Spec) Runs() int {
+	s = s.withDefaults()
+	n := s.Reps
+	for _, a := range axes {
+		l := a.n(&s)
+		if l != 0 && n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
 }
 
 // RunSeed derives the simulation seed for run index i of a campaign with

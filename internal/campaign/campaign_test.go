@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -336,5 +337,21 @@ func TestReadJSONRoundTrip(t *testing.T) {
 	}
 	if rep.Name != back.Name || len(back.Points) != len(rep.Points) || len(back.Runs) != len(rep.Runs) {
 		t.Fatalf("round trip lost structure: %+v", back)
+	}
+}
+
+// TestRunsCountsWithoutExpanding: Runs is the grid size times Reps, and it
+// saturates instead of overflowing.
+func TestRunsCountsWithoutExpanding(t *testing.T) {
+	s := Spec{Reps: 3, Ranks: []int{1, 2}, Devices: []string{"hdd", "ssd", "nvme"}}
+	if got, want := s.Runs(), len(s.Expand())*3; got != want || got != 18 {
+		t.Fatalf("Runs() = %d, want %d (= 18)", got, want)
+	}
+	if got := (Spec{}).Runs(); got != 1 {
+		t.Fatalf("default spec Runs() = %d, want 1", got)
+	}
+	s.Reps = math.MaxInt / 4
+	if got := s.Runs(); got != math.MaxInt {
+		t.Fatalf("Runs() = %d, want saturation at math.MaxInt", got)
 	}
 }

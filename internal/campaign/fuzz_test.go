@@ -37,17 +37,13 @@ func FuzzSpecParse(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			return
 		}
-		n := 1
-		for _, l := range []int{len(s.Ranks), len(s.Devices), len(s.StripeCounts), len(s.StripeSizes),
-			len(s.BlockSizes), len(s.TransferSizes), len(s.Patterns), len(s.Collective),
-			len(s.Tiers), len(s.Compress), len(s.Faults)} {
-			if n *= l; n > maxFuzzPoints {
-				return
-			}
+		runs := s.Runs()
+		if runs/s.Reps > maxFuzzPoints {
+			return
 		}
 		points := s.Expand()
-		if len(points) != n {
-			t.Fatalf("Expand returned %d points, axes multiply to %d", len(points), n)
+		if len(points)*s.Reps != runs {
+			t.Fatalf("Expand returned %d points x %d reps, Runs says %d", len(points), s.Reps, runs)
 		}
 		for i, p := range points {
 			if p.ID != i {

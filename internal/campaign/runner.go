@@ -242,14 +242,9 @@ func ClusterConfig(p Point) pfs.Config {
 	cfg.NumIONodes = 0
 	cfg.DefaultStripeCount = p.StripeCount
 	cfg.DefaultStripeSize = p.StripeSize
-	switch p.Device {
-	case "ssd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
-	case "nvme":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	default:
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultHDD() }
-	}
+	// Specs validate their devices; a hand-built point's unknown or empty
+	// device leaves the pfs default, an HDD.
+	cfg.OSTDevice, _ = blockdev.ModelByName(p.Device)
 	if p.Faults != "" {
 		cfg.Resilience = pfs.DefaultResilience()
 	}

@@ -22,8 +22,7 @@ type Stack struct {
 }
 
 // tiers is the Stack name table: every tier storage.NewProvider builds.
-// Adding a tier means adding it to storage and here.
-var tiers = []string{storage.TierDirect, storage.TierBB, storage.TierNodeLocal}
+var tiers = storage.Tiers()
 
 // ParseStack canonicalizes a tier/compressor pair and validates it
 // against the tier table and reduce.Names(). An unknown tier is reported

@@ -6,6 +6,7 @@ import (
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
 	"pioeval/internal/reduce"
+	"pioeval/internal/storage"
 )
 
 // stackCase is one row of the Stack table: a tier/compressor pair and
@@ -136,6 +137,21 @@ func TestExpandLexicographic(t *testing.T) {
 			if want := i>>(axes-1-k)&1 == 1; b != want {
 				t.Fatalf("point %d axis %d picks value %v, want %v (lexicographic, last axis fastest): %+v", i, k, b, want, p)
 			}
+		}
+	}
+}
+
+// TestEveryStorageTierBuilds: the Stack table is storage's own tier list,
+// so every tier storage names passes ParseStack and builds a provider.
+func TestEveryStorageTierBuilds(t *testing.T) {
+	for _, tier := range storage.Tiers() {
+		s, err := ParseStack(tier, "")
+		if err != nil {
+			t.Fatalf("ParseStack(%q): %v", tier, err)
+		}
+		e := des.NewEngine(1)
+		if _, err := s.Build(e, pfs.New(e, pfs.DefaultConfig())); err != nil {
+			t.Fatalf("Build(%q): %v", tier, err)
 		}
 	}
 }

@@ -54,17 +54,8 @@ func (c *ClusterFlags) Config() (pfs.Config, error) {
 		return cfg, err
 	}
 	cfg.DefaultStripeSize = ss
-	switch strings.ToLower(c.Device) {
-	case "hdd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultHDD() }
-	case "ssd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
-	case "nvme":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	default:
-		return cfg, fmt.Errorf("unknown device model %q", c.Device)
-	}
-	return cfg, nil
+	cfg.OSTDevice, err = blockdev.ModelByName(strings.ToLower(c.Device))
+	return cfg, err
 }
 
 // ParseSize parses a byte size with optional B/KB/MB/GB suffix.

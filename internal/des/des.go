@@ -15,6 +15,11 @@
 //     without arming exactly one blocking point terminates the proc; arming
 //     two panics.
 //
+// A layer implements its behaviour once, in the continuation form, and
+// offers the goroutine form a blocking veneer through Block, which runs a
+// continuation body for a Proc and resumes the Proc by a direct handoff
+// when the body's continuation fires: no extra event, no reordering.
+//
 // Both forms share every primitive: Queue, Resource, Signal, and WaitGroup
 // keep one waiter FIFO, so mixed-form waiters wake in strict arrival order
 // and the two forms are timing-equivalent on identical workloads. The

@@ -43,6 +43,15 @@ type EventProc struct {
 	k     func()
 	armed bool
 	live  bool
+	// bridge marks the EventProc a goroutine proc runs Block bodies on. It
+	// never terminates and is not counted in LiveProcs: its owner is.
+	bridge bool
+
+	// acquire is the resource a contended AcquireE is queued on: the wake
+	// retries the acquisition before running k, as the goroutine form's
+	// Acquire loop does. It lives here rather than in a closure because
+	// an EventProc has at most one pending blocking point.
+	acquire *Resource
 }
 
 // SpawnEvent starts fn as a new continuation-form process at the current
@@ -71,8 +80,13 @@ func (ep *EventProc) enter() {
 	k := ep.k
 	ep.k = nil
 	ep.armed = false
-	k()
-	if !ep.armed && ep.live {
+	if r := ep.acquire; r != nil {
+		ep.acquire = nil
+		r.AcquireE(ep, k)
+	} else {
+		k()
+	}
+	if !ep.armed && ep.live && !ep.bridge {
 		ep.live = false
 		ep.eng.procs--
 	}

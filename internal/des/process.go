@@ -11,6 +11,7 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	done   bool
+	bridge *bridge // created by the first Block
 }
 
 // Spawn starts fn as a new simulated process at the current time.
@@ -120,13 +121,14 @@ func (s *Signal) WaitE(ep *EventProc, k func()) {
 }
 
 // Fire releases all processes currently waiting on the signal.
-// Safe to call from process or event context.
+// Safe to call from process or event context. A wake only schedules, so
+// no waiter can rejoin during the loop and the list's array is reused.
 func (s *Signal) Fire() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
+	for i, w := range s.waiters {
 		w.wake()
+		s.waiters[i] = waiter{}
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // NumWaiters reports how many processes are blocked on the signal.

@@ -50,10 +50,12 @@ func (r *Resource) Acquire(p *Proc) {
 // runs synchronously (matching Acquire's no-yield fast path); otherwise
 // the process joins the wait FIFO — shared with goroutine waiters, in
 // strict arrival order — and re-checks on wake, re-entering at the back
-// if a TryAcquire raced it (exactly the goroutine form's loop).
+// if a TryAcquire raced it (exactly the goroutine form's loop). The retry
+// is recorded on the EventProc, so a contended acquire allocates nothing.
 func (r *Resource) AcquireE(ep *EventProc, k func()) {
 	if r.inUse >= r.capacity {
-		ep.arm(func() { r.AcquireE(ep, k) })
+		ep.arm(k)
+		ep.acquire = r
 		r.waiters.push(waiter{ep: ep})
 		if r.waiters.len() > r.peakQueue {
 			r.peakQueue = r.waiters.len()

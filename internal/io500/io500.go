@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/campaign"
 	"pioeval/internal/des"
 	"pioeval/internal/mpi"
@@ -156,10 +157,8 @@ func (c Config) withDefaults() Config {
 // Validate rejects configurations the suite cannot run.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	switch c.Device {
-	case "hdd", "ssd", "nvme":
-	default:
-		return fmt.Errorf("io500: unknown device %q (want hdd, ssd, or nvme)", c.Device)
+	if _, err := blockdev.ModelByName(c.Device); err != nil {
+		return fmt.Errorf("io500: %w", err)
 	}
 	if _, err := campaign.ParseStack(c.Tier, c.Compress); err != nil {
 		return err

@@ -83,6 +83,8 @@ type Fabric struct {
 	bytesMoved int64
 	messages   uint64
 
+	free des.Freelist[transferE]
+
 	// degradation >= 1 multiplies latency and serialization times
 	// (fault injection: failing links, congested uplinks).
 	degradation float64
@@ -155,92 +157,53 @@ func (f *Fabric) scaled(t des.Time) des.Time {
 }
 
 // Transfer moves size bytes from src to dst in simulated time, blocking the
-// calling process for the full transfer duration (latency + serialization
-// with queueing on both links and the backplane).
+// calling process for the full transfer duration: TransferE run through
+// des.Block.
 func (f *Fabric) Transfer(p *des.Proc, src, dst string, size int64) {
-	if size < 0 {
-		panic("netsim: negative transfer size")
-	}
-	s, ok := f.nodes[src]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown src node %q", src))
-	}
-	d, ok := f.nodes[dst]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown dst node %q", dst))
-	}
-	f.messages++
-	f.bytesMoved += size
-	if src == dst {
-		// Loopback: memcpy-speed, modeled as half latency.
-		p.Wait(f.scaled(f.cfg.Latency / 2))
-		return
-	}
-
-	// Packetized pipelining: the dominant cost is max of the three stages
-	// plus one latency; we approximate by serializing each chunk through
-	// sender link then receiver link, holding the backplane if present.
-	chunk := f.cfg.MTU
-	if chunk <= 0 || chunk > size {
-		chunk = size
-	}
-	p.Wait(f.scaled(f.cfg.Latency))
-	remaining := size
-	for remaining > 0 {
-		n := chunk
-		if n > remaining {
-			n = remaining
-		}
-		t := f.scaled(transferTime(n, f.cfg.LinkBandwidth))
-		s.out.Acquire(p)
-		if f.backplane != nil {
-			f.backplane.Acquire(p)
-			bt := f.scaled(transferTime(n, f.cfg.BackplaneBandwidth))
-			if bt > t {
-				t = bt
-			}
-		}
-		d.in.Acquire(p)
-		p.Wait(t)
-		d.in.Release()
-		if f.backplane != nil {
-			f.backplane.Release()
-		}
-		s.out.Release()
-		remaining -= n
-	}
+	des.Block(p, func(ep *des.EventProc, k func()) { f.TransferE(ep, src, dst, size, k) })
 }
 
 // transferE is the state machine behind TransferE: one chunk cycle is
 // acquire sender link -> (acquire backplane) -> acquire receiver link ->
 // hold for the serialization time -> release in reverse order -> next
-// chunk. The continuation methods are bound once at construction so the
-// per-chunk loop allocates nothing beyond the struct itself.
+// chunk. Machines are recycled through the fabric's freelist with their
+// continuations bound once, so a steady-state transfer allocates nothing.
 type transferE struct {
-	f       *Fabric
-	ep      *des.EventProc
-	s, d    *endpoint
-	remain  int64
-	chunk   int64
-	n       int64    // current chunk size
-	t       des.Time // current chunk serialization time
-	k       func()
-	stepF   func()
-	afterBF func()
-	afterIF func()
-	doneF   func()
+	f      *Fabric
+	ep     *des.EventProc
+	s, d   *endpoint
+	remain int64
+	chunk  int64
+	n      int64    // current chunk size
+	t      des.Time // current chunk serialization time
+	k      func()
+
+	stepF, afterOutF, afterInF, holdF, doneF func()
+}
+
+func (f *Fabric) newTransfer() *transferE {
+	t := &transferE{f: f}
+	t.stepF = t.step
+	t.afterOutF = t.afterOut
+	t.afterInF = t.afterIn
+	t.holdF = t.hold
+	t.doneF = t.done
+	return t
 }
 
 func (t *transferE) step() {
 	if t.remain <= 0 {
-		t.k()
+		k := t.k
+		t.ep, t.s, t.d, t.k = nil, nil, nil, nil
+		t.f.free.Put(t)
+		k()
 		return
 	}
 	t.n = t.chunk
 	if t.n > t.remain {
 		t.n = t.remain
 	}
-	t.s.out.AcquireE(t.ep, t.afterBF)
+	t.s.out.AcquireE(t.ep, t.afterOutF)
 }
 
 // afterOut holds the sender link: compute the chunk cost and take the
@@ -248,22 +211,25 @@ func (t *transferE) step() {
 func (t *transferE) afterOut() {
 	t.t = t.f.scaled(transferTime(t.n, t.f.cfg.LinkBandwidth))
 	if t.f.backplane != nil {
-		t.f.backplane.AcquireE(t.ep, t.afterIF)
+		t.f.backplane.AcquireE(t.ep, t.afterInF)
 		return
 	}
 	t.afterIn()
 }
 
 // afterIn holds everything up to the receiver link: apply the backplane
-// cost and serialize the chunk.
+// cost and take the receiver link.
 func (t *transferE) afterIn() {
 	if t.f.backplane != nil {
 		if bt := t.f.scaled(transferTime(t.n, t.f.cfg.BackplaneBandwidth)); bt > t.t {
 			t.t = bt
 		}
 	}
-	t.d.in.AcquireE(t.ep, func() { t.ep.Wait(t.t, t.doneF) })
+	t.d.in.AcquireE(t.ep, t.holdF)
 }
+
+// hold serializes the chunk on every link it holds.
+func (t *transferE) hold() { t.ep.Wait(t.t, t.doneF) }
 
 func (t *transferE) done() {
 	t.d.in.Release()
@@ -275,10 +241,10 @@ func (t *transferE) done() {
 	t.step()
 }
 
-// TransferE is the continuation form of Transfer: it moves size bytes from
-// src to dst in simulated time and runs k on completion, using the calling
-// EventProc for all queueing. Cost model and contention behaviour are
-// identical to Transfer.
+// TransferE moves size bytes from src to dst in simulated time and runs k
+// on completion, using the calling EventProc for all queueing: per-hop
+// latency, then each MTU chunk serialized with queueing on both links and
+// the backplane.
 func (f *Fabric) TransferE(ep *des.EventProc, src, dst string, size int64, k func()) {
 	if size < 0 {
 		panic("netsim: negative transfer size")
@@ -294,18 +260,19 @@ func (f *Fabric) TransferE(ep *des.EventProc, src, dst string, size int64, k fun
 	f.messages++
 	f.bytesMoved += size
 	if src == dst {
+		// Loopback: memcpy-speed, modeled as half latency.
 		ep.Wait(f.scaled(f.cfg.Latency/2), k)
 		return
 	}
+	// Packetized pipelining: the dominant cost is max of the three stages
+	// plus one latency; we approximate by serializing each chunk through
+	// sender link then receiver link, holding the backplane if present.
 	chunk := f.cfg.MTU
 	if chunk <= 0 || chunk > size {
 		chunk = size
 	}
-	t := &transferE{f: f, ep: ep, s: s, d: d, remain: size, chunk: chunk, k: k}
-	t.stepF = t.step
-	t.afterBF = t.afterOut
-	t.afterIF = t.afterIn
-	t.doneF = t.done
+	t := f.free.Get(f.newTransfer)
+	t.ep, t.s, t.d, t.remain, t.chunk, t.k = ep, s, d, size, chunk, k
 	ep.Wait(f.scaled(f.cfg.Latency), t.stepF)
 }
 

@@ -172,3 +172,21 @@ func TestPropTransferMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTransferSteadyStateAllocs pins a blocking Transfer at zero
+// allocations once its machine is on the fabric's freelist: the veneer
+// runs through des.Block, and the chunk loop's continuations are bound.
+func TestTransferSteadyStateAllocs(t *testing.T) {
+	cfg := InfiniBandLike()
+	cfg.MTU = 64 << 10
+	cfg.BackplaneBandwidth = 100 * GBps
+	e, f := twoNodeFabric(cfg, 1)
+	var allocs float64
+	e.Spawn("x", func(p *des.Proc) {
+		allocs = testing.AllocsPerRun(100, func() { f.Transfer(p, "a", "b", 1<<20) })
+	})
+	e.Run(des.MaxTime)
+	if allocs != 0 {
+		t.Fatalf("blocking Transfer: %v allocs, want 0", allocs)
+	}
+}

@@ -1,10 +1,6 @@
 package pfs
 
-import (
-	"fmt"
-
-	"pioeval/internal/des"
-)
+import "pioeval/internal/des"
 
 // metaReqSize / metaRespSize are the wire sizes of metadata RPCs.
 const (
@@ -124,190 +120,67 @@ func (c *Client) Node() string { return c.node }
 // IONode returns the I/O node this client routes through ("" in flat mode).
 func (c *Client) IONode() string { return c.ionode }
 
-// toServer moves size bytes from the client to a server node, crossing the
-// I/O-forwarding tier when present.
-func (c *Client) toServer(p *des.Proc, server string, size int64) {
-	if c.ionode != "" {
-		c.fs.compute.Transfer(p, c.node, c.ionode, size)
-		c.fs.storage.Transfer(p, c.ionode, server, size)
-	} else {
-		c.fs.compute.Transfer(p, c.node, server, size)
-	}
+// metaRPC runs metadata op m for goroutine proc p: metaRPCE through
+// des.Block. It returns m's error; m's results stay readable until freed.
+func (c *Client) metaRPC(p *des.Proc, m *metaOp) error {
+	des.Block(p, func(ep *des.EventProc, k func()) {
+		m.k = k
+		c.metaRPCE(ep, m)
+	})
+	return m.err
 }
 
-// fromServer moves size bytes from a server node back to the client.
-func (c *Client) fromServer(p *des.Proc, server string, size int64) {
-	if c.ionode != "" {
-		c.fs.storage.Transfer(p, server, c.ionode, size)
-		c.fs.compute.Transfer(p, c.ionode, c.node, size)
-	} else {
-		c.fs.compute.Transfer(p, server, c.node, size)
+// namespace runs a namespace op on path for p. It returns the settled op,
+// or nil for an invalid path; the caller reads the results and frees it.
+func (c *Client) namespace(p *des.Proc, op MetaOp, path string) (*metaOp, error) {
+	path, err := cleanPath(path)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// metaRPC performs one metadata operation round trip under the resilience
-// policy: an unavailable MDS leaves the request unanswered, the client
-// times out and retries with exponential backoff until the policy's
-// budget is exhausted. Namespace errors (ErrExist, ...) are final and
-// never retried — the operation did run, it just failed.
-func (c *Client) metaRPC(p *des.Proc, op MetaOp, fn func() error) error {
-	pol := c.fs.cfg.Resilience
-	for attempt := 0; ; attempt++ {
-		c.stats.MetaRPCs++
-		c.stats.BytesSent += metaReqSize
-		c.toServer(p, c.fs.mds.node, metaReqSize)
-		var err error
-		if c.fs.mds.down {
-			// No response: the RPC dies on the simulated timeout.
-			if pol.RPCTimeout > 0 {
-				p.Wait(pol.RPCTimeout)
-			}
-			c.stats.TimedOutRPCs++
-			err = ErrMDSUnavailable
-		} else {
-			err = c.fs.mdsExec(p, op, fn)
-			c.stats.BytesRecv += metaRespSize
-			c.fromServer(p, c.fs.mds.node, metaRespSize)
-		}
-		if err == nil || !retryable(err) {
-			return err
-		}
-		if attempt >= pol.MaxRetries {
-			c.stats.FailedRPCs++
-			return err
-		}
-		c.stats.Retries++
-		p.Wait(pol.backoff(c.fs.eng, attempt))
-	}
+	m := c.fs.newMeta(c, op, path)
+	return m, c.metaRPC(p, m)
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(p *des.Proc, path string) error {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return perr
-	}
-	start := p.Now()
-	err := c.metaRPC(p, OpMkdir, func() error {
-		ino := c.fs.mds.inodes
-		if _, dup := ino[path]; dup {
-			return ErrExist
-		}
-		par, ok := ino[parentOf(path)]
-		if !ok {
-			return ErrNotExist
-		}
-		if !par.isDir {
-			return ErrNotDir
-		}
-		ino[path] = &inode{path: path, isDir: true, children: map[string]bool{}, ctime: p.Now(), mtime: p.Now()}
-		par.children[path] = true
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "mkdir", Path: path, Start: start, End: p.Now()})
+	m, err := c.namespace(p, OpMkdir, path)
+	c.fs.freeMeta(m)
 	return err
 }
 
 // Rmdir removes an empty directory.
 func (c *Client) Rmdir(p *des.Proc, path string) error {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return perr
-	}
-	start := p.Now()
-	err := c.metaRPC(p, OpRmdir, func() error {
-		ino := c.fs.mds.inodes
-		n, ok := ino[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if !n.isDir {
-			return ErrNotDir
-		}
-		if len(n.children) > 0 {
-			return ErrNotEmpty
-		}
-		if path == "/" {
-			return ErrNotEmpty
-		}
-		delete(ino, path)
-		delete(ino[parentOf(path)].children, path)
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "rmdir", Path: path, Start: start, End: p.Now()})
+	m, err := c.namespace(p, OpRmdir, path)
+	c.fs.freeMeta(m)
 	return err
 }
 
 // Stat returns file metadata.
 func (c *Client) Stat(p *des.Proc, path string) (FileInfo, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return FileInfo{}, perr
+	m, err := c.namespace(p, OpStat, path)
+	if m == nil {
+		return FileInfo{}, err
 	}
-	start := p.Now()
-	var fi FileInfo
-	err := c.metaRPC(p, OpStat, func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		fi = FileInfo{Path: n.path, IsDir: n.isDir, Size: n.size, Layout: n.layout, CTime: n.ctime, MTime: n.mtime}
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "stat", Path: path, Start: start, End: p.Now()})
+	fi := m.info
+	c.fs.freeMeta(m)
 	return fi, err
 }
 
 // Readdir lists the names in a directory.
 func (c *Client) Readdir(p *des.Proc, path string) ([]string, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return nil, perr
+	m, err := c.namespace(p, OpReaddir, path)
+	if m == nil {
+		return nil, err
 	}
-	start := p.Now()
-	var names []string
-	err := c.metaRPC(p, OpReaddir, func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if !n.isDir {
-			return ErrNotDir
-		}
-		for child := range n.children {
-			names = append(names, child)
-		}
-		return nil
-	})
-	if err == nil && len(names) > 0 {
-		// Pay for the directory payload: ~64 bytes per entry.
-		c.fromServer(p, c.fs.mds.node, int64(len(names))*64)
-	}
-	c.fs.observe(OpEvent{Client: c.node, Op: "readdir", Path: path, Size: int64(len(names)), Start: start, End: p.Now()})
+	names := m.names
+	c.fs.freeMeta(m)
 	return names, err
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(p *des.Proc, path string) error {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return perr
-	}
-	start := p.Now()
-	err := c.metaRPC(p, OpUnlink, func() error {
-		ino := c.fs.mds.inodes
-		n, ok := ino[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if n.isDir {
-			return ErrIsDir
-		}
-		delete(ino, path)
-		delete(ino[parentOf(path)].children, path)
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "unlink", Path: path, Start: start, End: p.Now()})
+	m, err := c.namespace(p, OpUnlink, path)
+	c.fs.freeMeta(m)
 	return err
 }
 
@@ -331,60 +204,22 @@ type extent struct{ off, size int64 }
 // Create makes a new file with the given striping (0 values select the
 // file-system defaults) and returns an open handle.
 func (c *Client) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (*Handle, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return nil, perr
-	}
-	start := p.Now()
-	var layout Layout
-	err := c.metaRPC(p, OpCreate, func() error {
-		ino := c.fs.mds.inodes
-		if _, dup := ino[path]; dup {
-			return ErrExist
-		}
-		par, ok := ino[parentOf(path)]
-		if !ok {
-			return ErrNotExist
-		}
-		if !par.isDir {
-			return ErrNotDir
-		}
-		layout = c.fs.allocateLayout(stripeCount, stripeSize)
-		ino[path] = &inode{path: path, layout: layout, ctime: p.Now(), mtime: p.Now()}
-		par.children[path] = true
-		return nil
+	cl := c.fs.newCall()
+	des.Block(p, func(ep *des.EventProc, k func()) {
+		cl.k = k
+		c.CreateE(ep, path, stripeCount, stripeSize, cl.openedF)
 	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "create", Path: path, Start: start, End: p.Now()})
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{c: c, path: path, layout: layout}, nil
+	return cl.result()
 }
 
 // Open opens an existing file.
 func (c *Client) Open(p *des.Proc, path string) (*Handle, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return nil, perr
-	}
-	start := p.Now()
-	var layout Layout
-	err := c.metaRPC(p, OpOpen, func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if n.isDir {
-			return ErrIsDir
-		}
-		layout = n.layout
-		return nil
+	cl := c.fs.newCall()
+	des.Block(p, func(ep *des.EventProc, k func()) {
+		cl.k = k
+		c.OpenE(ep, path, cl.openedF)
 	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "open", Path: path, Start: start, End: p.Now()})
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{c: c, path: path, layout: layout}, nil
+	return cl.result()
 }
 
 // Path returns the file path.
@@ -401,9 +236,9 @@ type chunk struct {
 	fileOff int64
 }
 
-// stripeChunks splits a byte range [off, off+size) over the layout.
-func stripeChunks(l Layout, off, size int64) []chunk {
-	var out []chunk
+// stripeChunks appends to dst the split of byte range [off, off+size)
+// over the layout.
+func stripeChunks(dst []chunk, l Layout, off, size int64) []chunk {
 	for size > 0 {
 		stripe := off / l.StripeSize
 		within := off % l.StripeSize
@@ -413,173 +248,29 @@ func stripeChunks(l Layout, off, size int64) []chunk {
 		}
 		ostIdx := int(stripe % int64(l.StripeCount))
 		objOff := (stripe/int64(l.StripeCount))*l.StripeSize + within
-		out = append(out, chunk{ostIdx: ostIdx, objOff: objOff, size: n, fileOff: off})
+		dst = append(dst, chunk{ostIdx: ostIdx, objOff: objOff, size: n, fileOff: off})
 		off += n
 		size -= n
 	}
-	return out
+	return dst
 }
 
-// dataRPC performs one OST-directed transfer under the resilience policy:
-// bounded retries with exponential backoff + jitter around single
-// attempts. Non-retryable errors and exhausted budgets surface to doIO.
-func (c *Client) dataRPC(q *des.Proc, o *ost, obj string, objOff, size int64, write bool) error {
-	pol := c.fs.cfg.Resilience
-	for attempt := 0; ; attempt++ {
-		err := c.tryDataRPC(q, o, obj, objOff, size, write)
-		if err == nil || !retryable(err) {
-			return err
-		}
-		if attempt >= pol.MaxRetries {
-			c.stats.FailedRPCs++
-			return err
-		}
-		c.stats.Retries++
-		q.Wait(pol.backoff(c.fs.eng, attempt))
-	}
-}
-
-// tryDataRPC is a single attempt: pay the request's network cost, then
-// either service it at the OST or observe the failure mode — a crashed
-// target never answers (timeout), and injected transient faults fail the
-// request server-side with an error reply.
-func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj string, objOff, size int64, write bool) error {
-	fs := c.fs
-	if write {
-		c.stats.WriteRPCs++
-		c.stats.BytesSent += size
-		c.toServer(q, o.ossNode, size)
-	} else {
-		c.stats.ReadRPCs++
-		c.stats.BytesSent += dataReqSize
-		c.toServer(q, o.ossNode, dataReqSize)
-	}
-	if o.down {
-		if pol := fs.cfg.Resilience; pol.RPCTimeout > 0 {
-			q.Wait(pol.RPCTimeout)
-		}
-		c.stats.TimedOutRPCs++
-		return fmt.Errorf("%w: ost%d", ErrOSTDown, o.id)
-	}
-	if r := fs.transientRate; r > 0 && fs.eng.RNG().Stream("pfs.transient").Float64() < r {
-		c.stats.BytesRecv += dataReqSize
-		c.fromServer(q, o.ossNode, dataReqSize) // error reply
-		return fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, obj, objOff, size)
-	}
-	o.access(q, obj, objOff, size, write)
-	if fs.ostObserver != nil {
-		fs.ostObserver(OSTEvent{OST: o.id, Size: size, Write: write, At: q.Now()})
-	}
-	if write {
-		c.stats.BytesRecv += dataReqSize
-		c.fromServer(q, o.ossNode, dataReqSize) // ack
-	} else {
-		c.stats.BytesRecv += size
-		c.fromServer(q, o.ossNode, size)
-	}
-	return nil
-}
-
-// doIO executes the chunks of one request in parallel across OSTs,
-// splitting chunks larger than MaxRPCSize, and blocks until all complete.
-// On failure it returns the first (launch-order) error; for reads under a
-// DegradedReads policy the healthy stripes still complete and the miss is
-// reported as a *DegradedReadError with partial-data accounting.
-func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
-	fs := h.c.fs
-	var rpcs []chunk
-	for _, ch := range chunks {
-		for ch.size > 0 {
-			n := ch.size
-			if n > fs.cfg.MaxRPCSize {
-				n = fs.cfg.MaxRPCSize
-			}
-			rpc := ch
-			rpc.size = n
-			rpcs = append(rpcs, rpc)
-			ch.objOff += n
-			ch.size -= n
-		}
-	}
-	errs := make([]error, len(rpcs))
-	wg := des.NewWaitGroup(p.Engine())
-	for i, rpc := range rpcs {
-		i, rpc := i, rpc
-		wg.Add(1)
-		p.Engine().Spawn("rpc", func(q *des.Proc) {
-			defer wg.Done()
-			o := fs.osts[h.layout.OSTs[rpc.ostIdx]]
-			obj := fmt.Sprintf("%s#%d", h.path, rpc.ostIdx)
-			errs[i] = h.c.dataRPC(q, o, obj, rpc.objOff, rpc.size, write)
-		})
-	}
-	wg.Wait(p)
-	var firstErr error
-	var requested, missing int64
-	for i, err := range errs {
-		requested += rpcs[i].size
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			missing += rpcs[i].size
-		}
-	}
-	if firstErr == nil {
-		return nil
-	}
-	if !write && fs.cfg.Resilience.DegradedReads {
-		h.c.stats.DegradedReads++
-		h.c.stats.BytesMissing += missing
-		return &DegradedReadError{Path: h.path, Requested: requested, Missing: missing, Cause: firstErr}
-	}
-	return firstErr
-}
-
-// updateSize grows the file size at the MDS (a size RPC, as Lustre clients
-// batch; modeled as one metadata op).
-func (h *Handle) updateSize(p *des.Proc, end int64) error {
-	return h.c.metaRPC(p, OpSetSize, func() error {
-		n, ok := h.c.fs.mds.inodes[h.path]
-		if !ok {
-			return ErrNotExist
-		}
-		if end > n.size {
-			n.size = end
-		}
-		n.mtime = p.Now()
-		return nil
+// blockIO runs a continuation-form handle operation for goroutine proc p
+// and returns its error.
+func (h *Handle) blockIO(p *des.Proc, op func(ep *des.EventProc, k func(error))) error {
+	cl := h.c.fs.newCall()
+	des.Block(p, func(ep *des.EventProc, k func()) {
+		cl.k = k
+		op(ep, cl.doneF)
 	})
+	_, err := cl.result()
+	return err
 }
 
-// Write writes size bytes at offset off, blocking in simulated time. With
-// write-behind enabled, data may be buffered and flushed later; errors
-// from a deferred flush surface on the Write, Fsync, or Close that
-// triggers it. A closed handle returns ErrClosedHandle.
+// Write writes size bytes at offset off, blocking in simulated time; see
+// WriteE.
 func (h *Handle) Write(p *des.Proc, off, size int64) error {
-	if h.closed {
-		return fmt.Errorf("%w: write %s", ErrClosedHandle, h.path)
-	}
-	if size <= 0 {
-		return nil
-	}
-	start := p.Now()
-	h.raValid = false // writes invalidate the readahead window
-	var err error
-	if h.c.wbCapacity > 0 {
-		h.appendDirty(off, size)
-		h.c.wbDirty += size
-		if h.c.wbDirty >= h.c.wbCapacity {
-			err = h.flush(p)
-		}
-	} else {
-		err = h.doIO(p, stripeChunks(h.layout, off, size), true)
-		if err == nil {
-			err = h.updateSize(p, off+size)
-		}
-	}
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "write", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
-	return err
+	return h.blockIO(p, func(ep *des.EventProc, k func(error)) { h.WriteE(ep, off, size, k) })
 }
 
 // appendDirty records a dirty extent, coalescing with the previous one when
@@ -595,79 +286,15 @@ func (h *Handle) appendDirty(off, size int64) {
 	h.dirty = append(h.dirty, extent{off, size})
 }
 
-// flush writes out all dirty extents. Buffered data is dropped whether or
-// not the writeback succeeds — on failure it is lost, as with a real
-// client cache, and the error surfaces to the caller.
-func (h *Handle) flush(p *des.Proc) error {
-	if len(h.dirty) == 0 {
-		return nil
-	}
-	var chunks []chunk
-	var maxEnd int64
-	var total int64
-	for _, ex := range h.dirty {
-		chunks = append(chunks, stripeChunks(h.layout, ex.off, ex.size)...)
-		if end := ex.off + ex.size; end > maxEnd {
-			maxEnd = end
-		}
-		total += ex.size
-	}
-	h.dirty = nil
-	h.c.wbDirty -= total
-	if err := h.doIO(p, chunks, true); err != nil {
-		return err
-	}
-	return h.updateSize(p, maxEnd)
-}
-
-// Read reads size bytes at offset off, blocking in simulated time. With
-// readahead enabled, misses fetch an extended window and later reads
-// within the window are served from client memory. Under a DegradedReads
-// policy, a read spanning a crashed OST returns *DegradedReadError after
-// fetching the reachable stripes; a closed handle returns ErrClosedHandle.
+// Read reads size bytes at offset off, blocking in simulated time; see
+// ReadE.
 func (h *Handle) Read(p *des.Proc, off, size int64) error {
-	if h.closed {
-		return fmt.Errorf("%w: read %s", ErrClosedHandle, h.path)
-	}
-	if size <= 0 {
-		return nil
-	}
-	start := p.Now()
-	ra := h.c.fs.cfg.ClientReadahead
-	var err error
-	switch {
-	case ra > 0 && h.raValid && off >= h.raStart && off+size <= h.raEnd:
-		// Cache hit: served from client memory at zero simulated cost.
-	case ra > 0:
-		fetch := size + ra
-		err = h.doIO(p, stripeChunks(h.layout, off, fetch), false)
-		if err == nil {
-			h.raStart, h.raEnd, h.raValid = off, off+fetch, true
-		}
-	default:
-		err = h.doIO(p, stripeChunks(h.layout, off, size), false)
-	}
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "read", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
-	return err
+	return h.blockIO(p, func(ep *des.EventProc, k func(error)) { h.ReadE(ep, off, size, k) })
 }
 
 // Fsync flushes buffered writes.
-func (h *Handle) Fsync(p *des.Proc) error {
-	start := p.Now()
-	err := h.flush(p)
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "fsync", Path: h.path, Start: start, End: p.Now()})
-	return err
-}
+func (h *Handle) Fsync(p *des.Proc) error { return h.blockIO(p, h.FsyncE) }
 
 // Close flushes and closes the handle. The handle is closed even when the
 // final flush fails; the flush error is returned.
-func (h *Handle) Close(p *des.Proc) error {
-	if h.closed {
-		return nil
-	}
-	start := p.Now()
-	err := h.flush(p)
-	h.closed = true
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "close", Path: h.path, Start: start, End: p.Now()})
-	return err
-}
+func (h *Handle) Close(p *des.Proc) error { return h.blockIO(p, h.CloseE) }

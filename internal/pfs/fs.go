@@ -106,6 +106,12 @@ type FS struct {
 
 	observer    func(OpEvent)
 	ostObserver func(OSTEvent)
+
+	// Idle client state machines (client_event.go).
+	metaFree des.Freelist[metaOp]
+	dataFree des.Freelist[dataOp]
+	rpcFree  des.Freelist[rpcOp]
+	callFree des.Freelist[call]
 }
 
 // New builds a file system on engine e from cfg. The root directory "/"
@@ -194,32 +200,72 @@ func parentOf(path string) string {
 	return path[:i]
 }
 
-// mdsExec runs one metadata operation at the MDS in simulated time: the
-// caller has already paid the network cost; this pays queueing + CPU and
-// then applies fn to the namespace.
-func (fs *FS) mdsExec(p *des.Proc, op MetaOp, fn func() error) error {
-	m := fs.mds
-	m.threads.Acquire(p)
-	p.Wait(m.opCost)
-	m.threads.Release()
-	m.ops[op]++
-	m.busy += m.opCost
-	return fn()
-}
-
-// mdsExecE is the continuation form of mdsExec: queueing + CPU on the
-// calling EventProc, then fn applied to the namespace and its error handed
-// to k.
-func (fs *FS) mdsExecE(ep *des.EventProc, op MetaOp, fn func() error, k func(error)) {
-	m := fs.mds
-	m.threads.AcquireE(ep, func() {
-		ep.Wait(m.opCost, func() {
-			m.threads.Release()
-			m.ops[op]++
-			m.busy += m.opCost
-			k(fn())
-		})
-	})
+// apply performs metadata op m on the namespace at the MDS, at the
+// current simulated time, and returns its namespace error. Results land in
+// m.
+func (fs *FS) apply(m *metaOp) error {
+	ino := fs.mds.inodes
+	now := fs.eng.Now()
+	switch m.op {
+	case OpCreate, OpMkdir:
+		if _, dup := ino[m.path]; dup {
+			return ErrExist
+		}
+		par, ok := ino[parentOf(m.path)]
+		if !ok {
+			return ErrNotExist
+		}
+		if !par.isDir {
+			return ErrNotDir
+		}
+		n := &inode{path: m.path, ctime: now, mtime: now}
+		if m.op == OpMkdir {
+			n.isDir, n.children = true, map[string]bool{}
+		} else {
+			m.layout = fs.allocateLayout(m.stripeCount, m.stripeSize)
+			n.layout = m.layout
+		}
+		ino[m.path] = n
+		par.children[m.path] = true
+		return nil
+	}
+	n, ok := ino[m.path]
+	if !ok {
+		return ErrNotExist
+	}
+	switch m.op {
+	case OpOpen:
+		if n.isDir {
+			return ErrIsDir
+		}
+		m.layout = n.layout
+	case OpStat:
+		m.info = FileInfo{Path: n.path, IsDir: n.isDir, Size: n.size, Layout: n.layout, CTime: n.ctime, MTime: n.mtime}
+	case OpReaddir:
+		if !n.isDir {
+			return ErrNotDir
+		}
+		for child := range n.children {
+			m.names = append(m.names, child)
+		}
+	case OpSetSize:
+		n.size = max(n.size, m.end)
+		n.mtime = now
+	case OpUnlink, OpRmdir:
+		switch {
+		case m.op == OpUnlink && n.isDir:
+			return ErrIsDir
+		case m.op == OpRmdir && !n.isDir:
+			return ErrNotDir
+		case len(n.children) > 0 || m.path == "/":
+			return ErrNotEmpty
+		}
+		delete(ino, m.path)
+		delete(ino[parentOf(m.path)].children, m.path)
+	default:
+		panic(fmt.Sprintf("pfs: no namespace change for %v", m.op))
+	}
+	return nil
 }
 
 // LayoutPolicy selects the OST allocation strategy for new files.

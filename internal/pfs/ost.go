@@ -30,7 +30,7 @@ func newOST(id int, ossNode string, dev *blockdev.Device) *ost {
 
 // physOffset maps (object, logical offset) to a stable physical offset,
 // allocating a generous contiguous region per object on first touch.
-func (o *ost) physOffset(obj string, logical, size int64) int64 {
+func (o *ost) physOffset(obj string, logical int64) int64 {
 	base, ok := o.objBase[obj]
 	if !ok {
 		base = o.allocPtr
@@ -40,30 +40,6 @@ func (o *ost) physOffset(obj string, logical, size int64) int64 {
 		o.allocPtr += 1 << 30
 	}
 	return base + logical
-}
-
-// access performs one object I/O on the backing device in simulated time.
-func (o *ost) access(p *des.Proc, obj string, logical, size int64, write bool) {
-	phys := o.physOffset(obj, logical, size)
-	o.dev.Access(p, blockdev.Request{Offset: phys, Size: size, Write: write})
-	if write {
-		o.writeOps++
-	} else {
-		o.readOps++
-	}
-}
-
-// accessE is the continuation form of access.
-func (o *ost) accessE(ep *des.EventProc, obj string, logical, size int64, write bool, k func()) {
-	phys := o.physOffset(obj, logical, size)
-	o.dev.AccessE(ep, blockdev.Request{Offset: phys, Size: size, Write: write}, func() {
-		if write {
-			o.writeOps++
-		} else {
-			o.readOps++
-		}
-		k()
-	})
 }
 
 // OSTStats is a snapshot of one OST's counters.

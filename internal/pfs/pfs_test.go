@@ -122,7 +122,7 @@ func TestCreateOpenErrors(t *testing.T) {
 func TestStripeChunks(t *testing.T) {
 	l := Layout{StripeSize: 100, StripeCount: 4, OSTs: []int{0, 1, 2, 3}}
 	// One full stripe row plus part of the next.
-	chunks := stripeChunks(l, 50, 500)
+	chunks := stripeChunks(nil, l, 50, 500)
 	var total int64
 	for _, ch := range chunks {
 		total += ch.size
@@ -156,7 +156,7 @@ func TestPropStripeChunksCoverage(t *testing.T) {
 			l.OSTs = append(l.OSTs, i)
 		}
 		o, s := int64(off%(1<<20)), int64(size%(1<<20))+1
-		chunks := stripeChunks(l, o, s)
+		chunks := stripeChunks(nil, l, o, s)
 		cursor := o
 		for _, ch := range chunks {
 			if ch.fileOff != cursor {

@@ -178,6 +178,37 @@ func TestPoisonSpecsShedNotFatal(t *testing.T) {
 	}
 }
 
+// TestHugeGridRejectedWithoutExpanding: a spec of a few KB whose five
+// numeric axes of 60 values each multiply to 7.8e8 points gets 413 from
+// its run count alone. Expanding it first would allocate about 100 GB of
+// points before the reply.
+func TestHugeGridRejectedWithoutExpanding(t *testing.T) {
+	leakcheck.Check(t)
+	d := startDaemon(t, serve.Config{Workers: 1, MaxRuns: 8, MaxRanks: 8})
+	axis := func(name string, unit string) string {
+		vals := make([]string, 60)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("%d%s", i+1, unit)
+		}
+		return fmt.Sprintf(" %s %s\n", name, strings.Join(vals, ", "))
+	}
+	spec := "campaign \"huge\" {\n" + axis("ranks", "") + axis("stripe-count", "") +
+		axis("stripe-size", "KB") + axis("block-size", "MB") + axis("transfer-size", "KB") + "}"
+	if s, err := campaign.ParseSpec(spec); err != nil || s.Runs() != 60*60*60*60*60 {
+		t.Fatalf("spec parses to %d runs (err %v), want 60^5", s.Runs(), err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body := d.submit(t, spec, "c1")
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d want 413 (%s)", resp.StatusCode, body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("rejecting the spec allocated %d MB", grew>>20)
+	}
+}
+
 // TestSingleflightExecutesOnce: K identical specs submitted while the
 // first is still running share one execution — the runner fires once and
 // K-1 responses carry the shared marker.

@@ -444,7 +444,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canonical := spec.Canonical()
-	if runs := len(canonical.Expand()) * canonical.Reps; runs > s.cfg.MaxRuns {
+	if runs := canonical.Runs(); runs > s.cfg.MaxRuns {
 		s.metrics.add(&s.metrics.rejectedTooLarge)
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("spec expands to %d runs, admission limit is %d", runs, s.cfg.MaxRuns))

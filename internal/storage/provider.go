@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"pioeval/internal/blockdev"
 	"pioeval/internal/burstbuffer"
@@ -45,11 +46,8 @@ func NewProvider(e *des.Engine, fs *pfs.FS, tier string, cfg ProviderConfig) (*P
 	if tier == "" {
 		tier = TierDirect
 	}
-	switch tier {
-	case TierDirect, TierBB, TierNodeLocal:
-	default:
-		return nil, fmt.Errorf("storage: unknown tier %q (want %s, %s, or %s)",
-			tier, TierDirect, TierBB, TierNodeLocal)
+	if !slices.Contains(Tiers(), tier) {
+		return nil, fmt.Errorf("storage: unknown tier %q (want one of %v)", tier, Tiers())
 	}
 	if cfg.LocalDevice == nil {
 		cfg.LocalDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }

@@ -28,6 +28,11 @@ const (
 	TierNodeLocal = "nodelocal"
 )
 
+// Tiers returns every tier name NewProvider builds, in a fixed order. It
+// is the one tier list: callers that validate tier names check against
+// it, so a name cannot pass validation and then fail to build.
+func Tiers() []string { return []string{TierDirect, TierBB, TierNodeLocal} }
+
 // FileInfo and Layout alias the PFS metadata types: the seam changes who
 // services an operation, not what file metadata looks like.
 type (
