@@ -7,7 +7,7 @@ package burstbuffer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
@@ -101,9 +101,15 @@ type Buffer struct {
 	idle     *des.Signal
 	inFlight int
 
-	// The drainer's own PFS identity.
+	// The drainer's own PFS identity. handles holds every file the drain
+	// workers or a read-through have opened; paths holds the same keys in
+	// sorted order, kept sorted on insert, so the durability sweep in
+	// WaitDrained needs no per-call sort. sweeps recycles the sweeps'
+	// snapshots of paths.
 	drainClient *pfs.Client
 	handles     map[string]*pfs.Handle
+	paths       []string
+	sweeps      des.Freelist[[]string]
 
 	// Statistics.
 	absorbed  int64
@@ -160,7 +166,7 @@ func (b *Buffer) drainLoop(p *des.Proc) {
 				h, err = b.drainClient.Create(p, seg.path, 0, 0)
 			}
 			if err == nil {
-				b.handles[seg.path] = h
+				b.setHandle(seg.path, h)
 			}
 		}
 		// Read the staged data off the SSD, then push it to the PFS.
@@ -237,7 +243,7 @@ func (b *Buffer) Read(p *des.Proc, path string, off, size int64) error {
 			b.lastReadErr = err
 			return err
 		}
-		b.handles[path] = h
+		b.setHandle(path, h)
 	}
 	if err := h.Read(p, off, size); err != nil {
 		b.readErrors++
@@ -246,6 +252,19 @@ func (b *Buffer) Read(p *des.Proc, path string, off, size int64) error {
 	}
 	return nil
 }
+
+// setHandle makes h the drain handle for path. A new path is inserted
+// into paths at its sorted position; a path two drain workers opened
+// concurrently keeps its place and takes the later handle.
+func (b *Buffer) setHandle(path string, h *pfs.Handle) {
+	if _, ok := b.handles[path]; !ok {
+		i, _ := slices.BinarySearch(b.paths, path)
+		b.paths = slices.Insert(b.paths, i, path)
+	}
+	b.handles[path] = h
+}
+
+func newSweep() *[]string { return new([]string) }
 
 // WaitDrained blocks the calling process until all staged data has either
 // reached the PFS or been declared lost, then fsyncs the drain handles so
@@ -256,18 +275,19 @@ func (b *Buffer) WaitDrained(p *des.Proc) error {
 	for b.used > 0 || b.pending.Len() > 0 || b.inFlight > 0 {
 		b.idle.Wait(p)
 	}
-	// Deterministic order: sort the handle paths.
-	paths := make([]string, 0, len(b.handles))
-	for path := range b.handles {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	// Sweep the handles open now, in path order. Fsyncs yield, and drain
+	// workers may open new files meanwhile, so the sweep walks a snapshot
+	// of paths rather than paths itself; each handle is looked up when
+	// its turn comes.
+	sweep := b.sweeps.Get(newSweep)
+	*sweep = append((*sweep)[:0], b.paths...)
+	for _, path := range *sweep {
 		if err := b.handles[path].Fsync(p); err != nil {
 			b.drainErrors++
 			b.lastDrainErr = err
 		}
 	}
+	b.sweeps.Put(sweep)
 	if b.drainErrors > 0 {
 		return &DrainError{
 			Node: b.node, Segments: b.drainErrors, Bytes: b.lostBytes,

@@ -1,6 +1,7 @@
 package burstbuffer
 
 import (
+	"fmt"
 	"testing"
 
 	"pioeval/internal/blockdev"
@@ -184,5 +185,32 @@ func TestDrainWorkersParallelism(t *testing.T) {
 	}
 	if one, four := drainTime(1), drainTime(4); four >= one {
 		t.Errorf("4 drainers (%v) should beat 1 (%v)", four, one)
+	}
+}
+
+// sweepAllocs returns the allocations of one WaitDrained over files clean
+// drain handles.
+func sweepAllocs(files int) float64 {
+	e, _, bb := newSim(0)
+	var n float64
+	e.Spawn("app", func(p *des.Proc) {
+		for i := 0; i < files; i++ {
+			bb.Write(p, fmt.Sprintf("/f%d", i), 0, 4<<10)
+		}
+		_ = bb.WaitDrained(p) // every drain handle is open and clean now
+		n = testing.AllocsPerRun(20, func() { _ = bb.WaitDrained(p) })
+		bb.Shutdown()
+	})
+	e.Run(des.MaxTime)
+	return n
+}
+
+// TestWaitDrainedAllocsFlat: the durability sweep keeps no per-call copy
+// or sort of the drain handles, so its allocations do not grow with the
+// number of clean handles it fsyncs.
+func TestWaitDrainedAllocsFlat(t *testing.T) {
+	small, large := sweepAllocs(16), sweepAllocs(512)
+	if small != large || large != 0 {
+		t.Errorf("WaitDrained allocs = %v at 16 clean handles, %v at 512; want 0 at both", small, large)
 	}
 }
