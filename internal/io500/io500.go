@@ -503,8 +503,7 @@ func runFind(cfg Config) ([]Phase, []string) {
 				continue
 			}
 			for _, name := range names {
-				// Readdir yields full paths, ready for stat.
-				st, err := env.Stat(p, name)
+				st, err := env.Stat(p, dir+"/"+name)
 				perOps[r.ID()]++
 				if err == nil && !st.IsDir && st.Size >= cfg.HardFileBytes {
 					perFound[r.ID()]++

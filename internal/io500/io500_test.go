@@ -325,3 +325,19 @@ func TestValidateAgreesWithParseStack(t *testing.T) {
 		}
 	}
 }
+
+// TestFindMatchesOnEveryTier: the find walk joins each Readdir name to its
+// directory and stats it, so on every tier it finds each rank's
+// mdtest-hard-sized files — Ranks × HardFiles of them.
+func TestFindMatchesOnEveryTier(t *testing.T) {
+	for _, tier := range []string{"direct", "bb", "nodelocal"} {
+		cfg := Config{Ranks: 4, Device: "ssd", Tier: tier, Seed: 42, Workers: 1}.withDefaults()
+		phases, vio := runFind(cfg)
+		if len(vio) > 0 {
+			t.Fatalf("%s: violations %v", tier, vio)
+		}
+		if got, want := phases[0].Found, int64(cfg.Ranks*cfg.HardFiles); got != want {
+			t.Errorf("%s: find found %d files, want %d", tier, got, want)
+		}
+	}
+}

@@ -166,7 +166,7 @@ func (c *Client) Stat(p *des.Proc, path string) (FileInfo, error) {
 	return fi, err
 }
 
-// Readdir lists the names in a directory.
+// Readdir lists the entries of a directory as base names, sorted.
 func (c *Client) Readdir(p *des.Proc, path string) ([]string, error) {
 	m, err := c.namespace(p, OpReaddir, path)
 	if m == nil {

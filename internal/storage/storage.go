@@ -146,6 +146,7 @@ type Target interface {
 	Rmdir(p *des.Proc, path string) error
 	// Unlink removes a file.
 	Unlink(p *des.Proc, path string) error
-	// Readdir lists directory entries in sorted order.
+	// Readdir lists a directory's entries as sorted base names ("f1",
+	// not "/dir/f1"); join them to the directory to address an entry.
 	Readdir(p *des.Proc, path string) ([]string, error)
 }
