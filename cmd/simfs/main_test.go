@@ -41,6 +41,43 @@ func TestGoldenValidate(t *testing.T) {
 	}
 }
 
+// TestSimfsScaleGolden pins the -ranks scale run, single-engine,
+// invariant-checked and sharded, byte for byte except for the host-cost
+// line (wall time, event rate and heap depend on the machine). The
+// sharded run names its worker count so the "sharded:" line does not
+// depend on the host's cores.
+func TestSimfsScaleGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"scale_golden.txt", []string{"-ranks", "2000"}},
+		{"scale_validate_golden.txt", []string{"-ranks", "2000", "-validate"}},
+		{"scale_shards4_golden.txt", []string{"-ranks", "2000", "-shards", "4", "-shard-workers", "2"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			if err := run(c.args, &out, &errb); err != nil {
+				t.Fatalf("run %q: %v\nstderr:\n%s", c.args, err, errb.String())
+			}
+			var got strings.Builder
+			for _, line := range strings.SplitAfter(out.String(), "\n") {
+				if !strings.HasPrefix(line, "  host:") {
+					got.WriteString(line)
+				}
+			}
+			if got.String() != string(want) {
+				t.Errorf("run %q output differs from %s:\n got:\n%s\nwant:\n%s", c.args, c.golden, got.String(), want)
+			}
+		})
+	}
+}
+
 // TestRejections checks that invalid invocations fail with an error
 // naming the problem, and in particular that the -ranks scale run names
 // every flag and argument it would otherwise silently ignore.
