@@ -382,9 +382,9 @@ func runWorkersSweep(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) er
 	for i, w := range counts {
 		oo := o
 		oo.workers = w
-		rep, invOK, wall := runShardedOnce(stdout, cfg, cluster.Seed, oo)
+		rep, invs, _, wall := runShardedOnce(cfg, cluster.Seed, oo)
 		hash := reportHash(rep)
-		if !invOK {
+		if !reportViolations(stdout, invs) {
 			ok = false
 		}
 		if i == 0 {
@@ -408,24 +408,33 @@ func runWorkersSweep(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) er
 	return nil
 }
 
-// runShardedOnce executes one sharded scale run and reports the workload
-// result, whether armed invariants held, and the host wall-clock time.
-func runShardedOnce(stdout io.Writer, cfg pfs.Config, seed int64, o scaleOpts) (workload.ShardedReport, bool, time.Duration) {
+// runShardedOnce executes one scale run. It returns the report, the
+// invariant checkers armed when o.validate is set, every shard's file
+// system (kept reachable for heap measurement), and the host wall-clock
+// time.
+func runShardedOnce(cfg pfs.Config, seed int64, o scaleOpts) (workload.ShardedReport, []*validate.Invariants, []*pfs.FS, time.Duration) {
 	var invs []*validate.Invariants
+	var fss []*pfs.FS
 	shcfg := workload.ShardedConfig{
 		Scale: o.scaleConfig(), Shards: o.shards, Workers: o.workers,
 		FS: cfg, Seed: seed,
-	}
-	if o.validate {
-		shcfg.AttachShard = func(shard int, e *des.Engine, sim *pfs.FS) {
-			col := trace.NewCollector()
-			col.SetLimit(1)
-			invs = append(invs, validate.Attach(e, sim, col))
-		}
+		AttachShard: func(shard int, e *des.Engine, sim *pfs.FS) {
+			fss = append(fss, sim)
+			if o.validate {
+				col := trace.NewCollector()
+				col.SetLimit(1) // records flow through the invariant hook; retention is not needed
+				invs = append(invs, validate.Attach(e, sim, col))
+			}
+		},
 	}
 	wall0 := time.Now()
 	rep := workload.RunShardedCheckpoint(shcfg)
-	wall := time.Since(wall0)
+	return rep, invs, fss, time.Since(wall0)
+}
+
+// reportViolations prints every violation the checkers recorded and
+// reports whether all invariants held.
+func reportViolations(stdout io.Writer, invs []*validate.Invariants) bool {
 	ok := true
 	for _, inv := range invs {
 		for _, v := range inv.Finish() {
@@ -433,7 +442,7 @@ func runShardedOnce(stdout io.Writer, cfg pfs.Config, seed int64, o scaleOpts) (
 			ok = false
 		}
 	}
-	return rep, ok, wall
+	return ok
 }
 
 // runScale executes the built-in scale checkpoint: a file-per-process
@@ -447,58 +456,15 @@ func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	if err != nil {
 		return err
 	}
-	sc := o.scaleConfig()
 
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	wall0 := time.Now()
-
-	var invs []*validate.Invariants
-	// keepFS pins the simulation state through the post-run heap
-	// measurement, so "heap B/rank" reports retained simulator footprint
-	// (engine pool, clients, namespace) instead of zero after collection.
-	var keepFS []*pfs.FS
-	attach := func(e *des.Engine, sim *pfs.FS) {
-		col := trace.NewCollector()
-		col.SetLimit(1) // records flow through the invariant hook; retention is not needed
-		invs = append(invs, validate.Attach(e, sim, col))
-	}
-
-	var makespan des.Time
-	var totalBytes int64
-	var effMBps float64
-	var events uint64
-	var ioErrors uint64
-	if o.shards <= 1 {
-		e := des.NewEngine(cluster.Seed)
-		sim := pfs.New(e, cfg)
-		keepFS = append(keepFS, sim)
-		if o.validate {
-			attach(e, sim)
-		}
-		rep := workload.RunScaleCheckpoint(e, sim, sc)
-		makespan, totalBytes, effMBps, events, ioErrors =
-			rep.Makespan, rep.TotalBytes, rep.EffectiveMBps, rep.Events, rep.IOErrors
-	} else {
-		shcfg := workload.ShardedConfig{
-			Scale: sc, Shards: o.shards, Workers: o.workers,
-			FS: cfg, Seed: cluster.Seed,
-		}
-		shcfg.AttachShard = func(shard int, e *des.Engine, sim *pfs.FS) {
-			keepFS = append(keepFS, sim)
-			if o.validate {
-				attach(e, sim)
-			}
-		}
-		rep := workload.RunShardedCheckpoint(shcfg)
-		makespan, totalBytes, effMBps, events, ioErrors =
-			rep.Makespan, rep.TotalBytes, rep.EffectiveMBps, rep.Events, rep.IOErrors
+	rep, invs, fss, wall := runShardedOnce(cfg, cluster.Seed, o)
+	if o.shards > 1 {
 		fmt.Fprintf(stdout, "sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
 			rep.Shards, rep.Workers, rep.RanksPerShard, rep.Lookahead, rep.Windows)
 	}
-
-	wall := time.Since(wall0)
 	runtime.GC()
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
@@ -506,24 +472,21 @@ func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	if m1.HeapAlloc > m0.HeapAlloc {
 		heapPerRank = int64(m1.HeapAlloc-m0.HeapAlloc) / int64(o.ranks)
 	}
-	runtime.KeepAlive(keepFS)
+	// The file systems stay reachable through the heap measurement, so
+	// "heap B/rank" reports retained simulator footprint (engine pool,
+	// clients, namespace) instead of zero after collection.
+	runtime.KeepAlive(fss)
 
 	nodes := (o.ranks + o.ranksPerNode - 1) / o.ranksPerNode
 	fmt.Fprintf(stdout, "scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
 		o.ranks, nodes, o.ranksPerNode, o.steps, cli.FormatSize(o.bytesPerRank))
 	fmt.Fprintf(stdout, "  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
-		makespan, cli.FormatSize(totalBytes), effMBps, ioErrors)
-	evRate := float64(events) / wall.Seconds()
+		rep.Makespan, cli.FormatSize(rep.TotalBytes), rep.EffectiveMBps, rep.IOErrors)
+	evRate := float64(rep.Events) / wall.Seconds()
 	fmt.Fprintf(stdout, "  host: %d events in %v (%.2fM events/s), heap %d B/rank\n",
-		events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank)
+		rep.Events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank)
 
-	ok := true
-	for _, inv := range invs {
-		for _, v := range inv.Finish() {
-			fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
-			ok = false
-		}
-	}
+	ok := reportViolations(stdout, invs)
 	if o.validate {
 		var disp, recs, clops, ostev uint64
 		for _, inv := range invs {
